@@ -55,8 +55,7 @@ BENCHMARK_JSON = ROOT / "BENCHMARK.json"
 
 MIN_SAMPLES = 3  # fresh-process commands per untraced run, however long they take
 MIN_REPS = 2  # untraced/traced in-process pairs per traced run
-HARD_LIMIT_S = 170.0  # no new command starts once it could end past this
-STARTED = time.perf_counter()
+HARD_LIMIT_S = 170.0  # per workload: no new command starts once it could end past this
 
 
 class BenchError(Exception):
@@ -69,16 +68,17 @@ def _child_env() -> dict:
     return env
 
 
-def _remaining() -> float:
-    return HARD_LIMIT_S - (time.perf_counter() - STARTED)
+def spawn(argv: list, cwd: Path, deadline: float | None = None) -> tuple:
+    """Run one child to completion: (wall seconds, peak RSS in MB, exit code).
 
-
-def spawn(argv: list, cwd: Path) -> tuple:
-    """Run one child to completion: (wall seconds, peak RSS in MB, exit code)."""
+    The child is killed at the deadline (a perf_counter value), but not
+    before 5 s; without one, after HARD_LIMIT_S.
+    """
+    limit = HARD_LIMIT_S if deadline is None else max(5.0, deadline - time.perf_counter())
     with open(cwd / "stdout.txt", "wb") as out, open(cwd / "stderr.txt", "wb") as err:
         start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=cwd, env=_child_env(), stdout=out, stderr=err)
-        timer = threading.Timer(max(5.0, _remaining()), proc.kill)
+        timer = threading.Timer(limit, proc.kill)
         timer.start()
         try:
             _, status, usage = os.wait4(proc.pid, 0)
@@ -152,17 +152,17 @@ def checker(name: str, seed: int, smoke: bool, inp) -> check.Checker:
     return check.Checker(name, inp, reference)
 
 
-def check_import(work: Path) -> None:
+def check_import(work: Path, deadline: float) -> None:
     """Untimed warm-up import, which also writes the bytecode caches; it must load src/."""
-    spawn([sys.executable, "-c", "import simplexsp.cli as c; print(c.__file__)"], work)
+    spawn([sys.executable, "-c", "import simplexsp.cli as c; print(c.__file__)"], work, deadline)
     where = Path((work / "stdout.txt").read_text().strip())
     if SRC.resolve() not in where.resolve().parents:
         raise BenchError(f"simplexsp imported from {where}, not from {SRC}")
 
 
-def time_import(work: Path) -> float:
+def time_import(work: Path, deadline: float) -> float:
     """Wall time of `import simplexsp.cli` in a fresh interpreter."""
-    wall, _, rc = spawn([sys.executable, "-c", "import simplexsp.cli"], work)
+    wall, _, rc = spawn([sys.executable, "-c", "import simplexsp.cli"], work, deadline)
     if rc != 0:
         raise BenchError(f"import simplexsp.cli exited with {rc}")
     return wall
@@ -188,29 +188,31 @@ def _median(values: list) -> float | None:
     return float(statistics.median(values)) if values else None
 
 
-def _keep_going(count: int, minimum: int, started: float, seconds: float, durations: list) -> bool:
+def _keep_going(count: int, minimum: int, started: float, seconds: float, durations: list,
+                deadline: float) -> bool:
     """Another sample fits in the run, or the minimum is not reached yet."""
     est = max(durations) if durations else 0.0
     if count >= minimum and time.perf_counter() - started + est > seconds:
         return False
-    if count >= 1 and est > _remaining():
+    if count >= 1 and est > deadline - time.perf_counter():
         return False
     return True
 
 
-def run_untraced(name: str, seed: int, seconds: float, smoke: bool) -> dict:
+def run_untraced(name: str, seed: int, seconds: float, smoke: bool, deadline: float) -> dict:
     work, inp = prepare(name, seed, smoke)
     check_run = checker(name, seed, smoke, inp)
-    check_import(work)
+    check_import(work, deadline)
     setup, walls, rss, failures, identical = [], [], [], [], []
     durations = []
     started = time.perf_counter()
-    while _keep_going(len(walls) + len(failures), MIN_SAMPLES, started, seconds, durations):
+    while _keep_going(len(walls) + len(failures), MIN_SAMPLES, started, seconds, durations,
+                      deadline):
         t0 = time.perf_counter()
         # set-up samples interleave with the commands, so both see the same machine load
-        setup.append(time_import(work))
+        setup.append(time_import(work, deadline))
         _fresh_out(work)
-        wall, peak, rc = spawn(_cli_argv(inp.argv), work)
+        wall, peak, rc = spawn(_cli_argv(inp.argv), work, deadline)
         verdict = check_run(work)
         if rc != 0 or not verdict.ok:
             err = (work / "stderr.txt").read_text()[-2000:]
@@ -221,6 +223,7 @@ def run_untraced(name: str, seed: int, seconds: float, smoke: bool) -> dict:
             identical.append(verdict.byte_identical)
         durations.append(time.perf_counter() - t0)
     attempted = len(walls) + len(failures)
+    short = len(walls) < MIN_SAMPLES
     metrics = {
         "wall_s": {"value": _median(walls), "unit": "s", "samples": len(walls)},
         "setup_s": {"value": _median(setup), "unit": "s", "samples": len(setup)},
@@ -229,7 +232,7 @@ def run_untraced(name: str, seed: int, seconds: float, smoke: bool) -> dict:
     return {
         "workload": name, "seed": seed, "trace": 0, "smoke": smoke, "size": _size(name, smoke),
         "sizes": inp.sizes, "attempted": attempted, "failed": len(failures),
-        "failed_frac": len(failures) / attempted,
+        "failed_frac": len(failures) / attempted, "short": short,
         "outputs_byte_identical": (min(identical) if identical and identical[0] is not None
                                    else None),
         "outputs_total": len(inp.outputs),
@@ -257,7 +260,7 @@ def _call_main(cli, argv: list, work: Path) -> tuple:
         os.chdir(here)
 
 
-def run_traced(name: str, seed: int, seconds: float, smoke: bool) -> dict:
+def run_traced(name: str, seed: int, seconds: float, smoke: bool, deadline: float) -> dict:
     work, inp = prepare(name, seed, smoke)
     check_run = checker(name, seed, smoke, inp)
     sys.path.insert(0, str(SRC))
@@ -267,7 +270,7 @@ def run_traced(name: str, seed: int, seconds: float, smoke: bool) -> dict:
         raise BenchError(f"simplexsp imported from {cli.__file__}, not from {SRC}")
     plain, traced, recorders, failures, durations = [], [], [], [], []
     started = time.perf_counter()
-    while _keep_going(len(recorders), MIN_REPS, started, seconds, durations):
+    while _keep_going(len(recorders), MIN_REPS, started, seconds, durations, deadline):
         t0 = time.perf_counter()
         rec = spans.Recorder(trace_id=len(recorders))
         pair = [(plain, contextlib.nullcontext()), (traced, spans.instrument(rec))]
@@ -314,14 +317,16 @@ def run_traced(name: str, seed: int, seconds: float, smoke: bool) -> dict:
     return {
         "workload": name, "seed": seed, "trace": 1, "smoke": smoke, "size": _size(name, smoke),
         "sizes": inp.sizes, "attempted": attempted, "failed": len(failures),
-        "failed_frac": len(failures) / attempted, "metrics": metrics,
+        "failed_frac": len(failures) / attempted, "short": len(recorders) < MIN_REPS,
+        "metrics": metrics,
         "samples": {"untraced_s": plain, "traced_s": traced}, "failures": failures,
         "work_counts": work_counts[0], "spans": str(spans_path.relative_to(ROOT)), "work": work,
     }
 
 
 def run_one(name: str, seed: int, seconds: float, trace: int, smoke: bool, env: dict) -> dict:
-    result = (run_traced if trace else run_untraced)(name, seed, seconds, smoke)
+    deadline = time.perf_counter() + HARD_LIMIT_S
+    result = (run_traced if trace else run_untraced)(name, seed, seconds, smoke, deadline)
     size = json.dumps(_size(name, smoke), sort_keys=True)
     key = f"{name}|{size}|seed={seed}|src={env['src_sha256']}"
     verify_counters(key, "sizes", result["sizes"])
@@ -356,17 +361,22 @@ def _report(r: dict) -> None:
         parts = [f"{k}={_fmt(m[k]['value'])} s" for k in top]
         parts.append(f"trace_overhead_frac={_fmt(m['trace_overhead_frac']['value'])}")
         parts.append(f"failed_frac={r['failed_frac']:.4f} ({r['failed']}/{r['attempted']})")
+    if r["short"]:
+        least = MIN_REPS if r["trace"] else MIN_SAMPLES
+        parts.append(f"SHORT: the time limit cut the run below {least} samples")
     print(head + ": " + ", ".join(parts), flush=True)
     for f in r["failures"]:
         print(f"  FAILED: {f}", file=sys.stderr)
 
 
-def _final_line(results: list, prefix: bool) -> dict:
+def _final_line(results: list, prefix: bool, declared: dict) -> dict:
+    """The JSON result line: per run, the metrics BENCHMARK.json declares for its mode."""
     metrics = {}
     for r in results:
-        for k, v in r["metrics"].items():
-            metrics[f"{r['workload']}.{k}" if prefix else k] = {"value": v["value"],
-                                                                 "unit": v["unit"]}
+        for m in declared[r["trace"]]:
+            v = r["metrics"][m["name"]]
+            metrics[f"{r['workload']}.{m['name']}" if prefix else m["name"]] = {
+                "value": v["value"], "unit": v["unit"]}
     return {
         "correct": all(r["failed"] == 0 for r in results),
         "attempted": sum(r["attempted"] for r in results),
@@ -375,20 +385,17 @@ def _final_line(results: list, prefix: bool) -> dict:
     }
 
 
-def smoke_run(env: dict) -> list:
+def smoke_run(env: dict, declared: dict) -> list:
     """Every workload at n~40, untraced and traced; every named metric must appear with its unit."""
-    spec = json.loads(BENCHMARK_JSON.read_text())
     results = []
     for name in WORKLOADS:
-        for trace, declared in ((0, spec["end_to_end"]), (1, spec["per_layer"])):
+        for trace in (0, 1):
             r = run_one(name, DEFAULT_SEED, 0.0, trace, True, env)
-            for metric in declared:
+            for metric in declared[trace]:
                 got = r["metrics"].get(metric["name"])
                 if got is None or got["unit"] != metric["unit"]:
                     raise BenchError(f"{name} trace={trace}: metric {metric['name']} "
                                      f"missing or not in {metric['unit']}: {got}")
-            if trace == 1 and set(r["metrics"]) != {m["name"] for m in declared}:
-                raise BenchError(f"{name}: traced metrics differ from BENCHMARK.json per_layer")
             results.append(r)
     return results
 
@@ -412,28 +419,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=[*WORKLOADS, "all"], default="all")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--smoke", action="store_true", help="n~40 run of every workload")
     parser.add_argument("--record-reference", action="store_true")
     args = parser.parse_args(argv)
     try:
         require_program()
+        bench = json.loads(BENCHMARK_JSON.read_text())
+        declared = {0: bench["end_to_end"], 1: bench["per_layer"]}  # metrics each mode emits
         env = environment()
         print("env: " + json.dumps(env, sort_keys=True), flush=True)
         if args.record_reference:
             record_reference(env)
             return 0
         if args.smoke:
-            results = smoke_run(env)
-            print(json.dumps(_final_line(results, prefix=True)))
+            results = smoke_run(env, declared)
+            print(json.dumps(_final_line(results, True, declared)))
             return 0
         names = list(WORKLOADS) if args.workload == "all" else [args.workload]
         results = [run_one(n, args.seed, args.seconds, args.trace, False, env) for n in names]
     except (BenchError, check.CheckError) as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(_final_line(results, prefix=args.workload == "all")))
+    print(json.dumps(_final_line(results, args.workload == "all", declared)))
     return 0
 
 
