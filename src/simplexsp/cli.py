@@ -115,9 +115,21 @@ def cmd_spectrum(args):
 
 def _parse_band(text: str, n: int) -> tuple:
     lo, _, hi = text.partition(":")
-    lo = int(lo) if lo else 1
-    hi = int(hi) if hi else n
+    try:
+        lo = int(lo) if lo else 1
+        hi = int(hi) if hi else n
+    except ValueError as exc:
+        raise ParseError(f"--band {text!r}: {exc}") from exc
+    if not 1 <= lo <= hi <= n:
+        raise ParseError(f"--band {text!r}: need 1 <= lo <= hi <= {n}")
     return tuple(range(lo, hi + 1))
+
+
+def _parse_poly(text: str) -> tuple:
+    try:
+        return tuple(float(a) for a in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"--poly {text!r}: {exc}") from exc
 
 
 def cmd_filter(args):
@@ -128,11 +140,11 @@ def cmd_filter(args):
         raise ParseError(
             f"signal length {signals.shape[0]} does not match laplacian size {m.shape[0]}"
         )
-    if args.band:
+    if args.band is not None:
         spec = FilterSpec(band=_parse_band(args.band, m.shape[0]))
     else:
-        spec = FilterSpec(coeffs=tuple(float(a) for a in args.poly.split(",")))
-    s = eigendecompose(m) if args.band else None
+        spec = FilterSpec(coeffs=_parse_poly(args.poly))
+    s = eigendecompose(m) if args.band is not None else None
     filtered = np.column_stack(
         [spec.apply(m, s, signals[:, j]) for j in range(signals.shape[1])]
     )

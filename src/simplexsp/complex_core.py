@@ -324,23 +324,34 @@ def enumerate_candidate_triangles(g: WeightedGraph, mode: str = "closed") -> lis
 
 
 def maximal_simplices(x: SimplicialComplex) -> list:
-    """Inclusion-maximal simplices, including bare edges and isolated vertices."""
-    stored = [frozenset(s) for s in x.simplices]
-    maximal = []
+    """Inclusion-maximal simplices, including bare edges and isolated vertices.
+
+    A stored simplex is non-maximal only when a stored strict superset
+    exists; its faces need not be stored themselves, since face closure is
+    checked on edges only.  An edge is maximal when no stored simplex holds
+    both its ends, and a vertex when it lies on no edge.
+
+    The cost is linear in the size of the complex for bounded dimension:
+    one pass over the vertices, the edges and the vertex pairs of each
+    stored simplex s, plus a set lookup for each of the C(|s|, m) subsets
+    of s whose size m < |s| is the size of some stored simplex.  A
+    2-complex has no such subsets.  Output is sorted in the vertex order.
+    """
+    sizes = {len(s) for s in x.simplices}
+    covered_pairs: set = set()
+    dominated: set = set()
     for s in x.simplices:
-        fs = frozenset(s)
-        if not any(fs < t for t in stored):
-            maximal.append(s)
-    for (u, v) in x.edges:
-        pair = frozenset((u, v))
-        if not any(pair <= t for t in stored):
-            maximal.append((u, v))
-    covered = set()
-    for s in maximal:
-        covered.update(s)
-    for v in x.vertices:
-        if v not in covered:
-            maximal.append((v,))
+        covered_pairs.update(itertools.combinations(s, 2))
+        for size in sizes:
+            if size < len(s):
+                dominated.update(
+                    f for f in itertools.combinations(s, size) if f in x.simplices
+                )
+    maximal = [s for s in x.simplices if s not in dominated]
+    maximal.extend(e for e in x.edges if e not in covered_pairs)
+    covered = {v for s in x.simplices for v in s}
+    covered.update(v for e in x.edges for v in e)
+    maximal.extend((v,) for v in x.vertices if v not in covered)
     idx = x.index
     maximal.sort(key=lambda t: tuple(idx[v] for v in t))
     return maximal

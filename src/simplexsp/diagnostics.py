@@ -119,14 +119,21 @@ class DistinctiveResult(NamedTuple):
     witness: tuple | None  # (i, j, value) of a violating entry, if any
 
 
+def _laplacians(x: SimplicialComplex):
+    """(L_X, L_{X^1}) of a 2-complex as dense matrices, assembled once per caller."""
+    _require_two_complex(x)
+    return complex_laplacian(x).matrix, x.graph().laplacian_matrix()
+
+
 def distinctive_check(x: SimplicialComplex, tol: float = 1e-10) -> DistinctiveResult:
     """Which of L_{X^1} - L_X / L_X - L_{X^1} is a graph Laplacian supported
     on triangle edges (strictly negative off-diagonal there)."""
-    _require_two_complex(x)
+    return _distinctive(x, *_laplacians(x), tol)
+
+
+def _distinctive(x, l_x, l_g, tol: float = 1e-10) -> DistinctiveResult:
     if not x.triangles():
         return DistinctiveResult("neither", True, None)
-    l_x = complex_laplacian(x).matrix
-    l_g = x.graph().laplacian_matrix()
     _, edge_count = _triangle_membership(x)
     idx = x.index
     tri_edge_rows = [
@@ -162,20 +169,14 @@ def _prop1_conditions(x: SimplicialComplex):
     """The three geometric hypotheses of the non-shift-invariance result."""
     tri_vertices, edge_count = _triangle_membership(x)
     adj = x.graph().adjacency_sets()
-    triangles = x.triangles()
 
     # (a) no bare edge joining two distinct 2-simplices (edges belonging to
     # a 2-simplex do not count as "direct" connections)
     cond_a = True
-    tri_sets = [set(t) for t in triangles]
     for (u, v) in x.edges:
         if frozenset((u, v)) in edge_count:
             continue
-        if any(u in s and v in s for s in tri_sets):
-            continue
-        u_tris = any(u in s for s in tri_sets)
-        v_tris = any(v in s for s in tri_sets)
-        if u_tris and v_tris:
+        if u in tri_vertices and v in tri_vertices:
             cond_a = False
             break
 
@@ -201,10 +202,13 @@ def shift_invariance_certificate(x: SimplicialComplex):
     The certificate asserts non-shift-invariance of L_X w.r.t. L_{X^1}; when
     it fires the numerical commutator should exceed 1e-8 as cross-evidence.
     """
-    _require_two_complex(x)
+    return _certificate(x, *_laplacians(x))
+
+
+def _certificate(x, l_x, l_g):
     prop1 = _prop1_conditions(x)
     m1, m2, m3, m4 = interior_counts(x)
-    distinctive = distinctive_check(x)
+    distinctive = _distinctive(x, l_x, l_g)
     n = x.n
     # The constant vector is a common eigenvector (eigenvalue 0) of both
     # Laplacians, so the common-eigenspace dimension is at least 1; the
@@ -221,7 +225,7 @@ def shift_invariance_certificate(x: SimplicialComplex):
         and 1 <= (m1 + m4) < n
         and m2 <= m3 + m4
     )
-    comm = commutator_norm(complex_laplacian(x).matrix, x.graph().laplacian_matrix())
+    comm = commutator_norm(l_x, l_g)
     return prop1, certificate, comm
 
 
@@ -241,14 +245,15 @@ def sandwich_bounds(x: SimplicialComplex, unit_tol: float = 1e-9) -> SandwichBou
     unit-edge-weight 2-complex.  The claimed bounds (k/3 factors) are
     reported alongside but never asserted.
     """
-    _require_two_complex(x)
+    return _sandwich(x, *_laplacians(x), unit_tol)
+
+
+def _sandwich(x, l_x, l_g, unit_tol: float = 1e-9) -> SandwichBounds:
     if any(abs(w - 1.0) > unit_tol for w in x.edges.values()):
         raise ComplexError("sandwich bounds require unit edge weights")
     if len(connected_components(x.graph())) != 1:
         raise ComplexError("sandwich bounds require a connected complex")
     n = x.n
-    l_x = complex_laplacian(x).matrix
-    l_g = x.graph().laplacian_matrix()
     # orthonormal basis of the complement of the constant vector
     basis = np.linalg.qr(np.eye(n) - np.full((n, n), 1.0 / n))[0][:, : n - 1]
     a = basis.T @ l_x @ basis
@@ -323,7 +328,7 @@ class DiagnosticsReport:
 
 def diagnostics_report(x: SimplicialComplex, seed: int = 0, ratio_samples: int = 5) -> DiagnosticsReport:
     """Assemble the full diagnostics record for a 2-complex."""
-    _require_two_complex(x)
+    l_x, l_g = _laplacians(x)
     triangles = x.triangles()
     gammas = [
         shape_constant(
@@ -333,16 +338,15 @@ def diagnostics_report(x: SimplicialComplex, seed: int = 0, ratio_samples: int =
         )
         for t in triangles
     ]
-    l_x = complex_laplacian(x)
     k_min, k_max = _edge_triangle_stats(x)
     m1, m2, m3, m4 = interior_counts(x)
-    distinctive = distinctive_check(x)
-    prop1, certificate, comm = shift_invariance_certificate(x)
+    distinctive = _distinctive(x, l_x, l_g)
+    prop1, certificate, comm = _certificate(x, l_x, l_g)
 
     sandwich = None
     unit = all(abs(w - 1.0) <= 1e-9 for w in x.edges.values())
     if unit and len(connected_components(x.graph())) == 1:
-        sandwich = sandwich_bounds(x)
+        sandwich = _sandwich(x, l_x, l_g)
 
     # empirical quadratic-form ratios <y, L_{X^1} y> / <x, L_X x> per triangle
     rng = np.random.default_rng(seed)

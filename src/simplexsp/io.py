@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -200,7 +199,10 @@ def load_matrix(path) -> np.ndarray:
     """Dense matrix from CSV rows or the JSON envelope {n, rows, provenance}."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
         try:
             m = np.array(data["rows"], dtype=float)
             if m.shape != (data["n"], data["n"]):
@@ -254,7 +256,3 @@ class RunManifest:
             "outputs": self.outputs,
         }
         Path(path).write_text(json.dumps(data, indent=1, sort_keys=True))
-
-
-def start_clock() -> float:
-    return time.monotonic()

@@ -175,7 +175,10 @@ def downsample_reconstruct(
     cols = s.band_columns(b)
     if s.vertices:
         vidx = {v: i for i, v in enumerate(s.vertices)}
-        rows = [vidx[v] if v in vidx else int(v) for v in sample_vertices]
+        unknown = [v for v in sample_vertices if v not in vidx]
+        if unknown:
+            raise ValueError(f"sample vertices {unknown} are not vertices of the spectrum")
+        rows = [vidx[v] for v in sample_vertices]
     else:
         rows = [int(v) for v in sample_vertices]
     samples = np.asarray(samples, dtype=float)

@@ -266,3 +266,19 @@ class TestDiagnosticsReport:
         x, _ = pendant_complex(rng)
         rep = diagnostics_report(x)
         assert rep.sandwich is None
+
+    def test_fields_equal_public_functions(self, rng):
+        # the report assembles L_X and L_{X^1} once; each field must equal
+        # what the public function, assembling its own, returns
+        for _ in range(15):
+            y = random_metric_complex(rng, n=int(rng.integers(4, 16)), connected=True)
+            x = SimplicialComplex(y.vertices, {e: 1.0 for e in y.edges}, y.simplices)
+            rep = diagnostics_report(x)
+            distinctive = distinctive_check(x)
+            prop1, certificate, comm = shift_invariance_certificate(x)
+            assert rep.distinctive == distinctive.direction
+            assert rep.trivially_distinctive == distinctive.trivially_distinctive
+            assert rep.prop1_conditions == prop1
+            assert rep.theorem_certificate == certificate
+            assert rep.commutator == comm
+            assert rep.sandwich == sandwich_bounds(x)

@@ -186,6 +186,19 @@ class TestCli:
         _, filtered = load_signals(out)
         assert filtered.shape == (4, 2)
 
+    def test_filter_empty_band_is_full_band(self, tmp_path):
+        # like "1:4" here, and like ":", an empty range keeps every frequency
+        cx = write_triangle_complex(tmp_path)
+        lap = tmp_path / "lap.csv"
+        main(["laplacian", "--complex", str(cx), "--out", str(lap)])
+        sig = tmp_path / "sig.csv"
+        save_signals(np.arange(4.0), sig)
+        out = tmp_path / "filtered.csv"
+        rc = main(["filter", "--laplacian", str(lap), "--signals", str(sig), "--band", "", "--out", str(out)])
+        assert rc == 0
+        _, filtered = load_signals(out)
+        np.testing.assert_allclose(filtered[:, 0], np.arange(4.0), atol=1e-12)
+
     def test_filter_poly(self, tmp_path, rng):
         cx = write_triangle_complex(tmp_path)
         lap = tmp_path / "lap.csv"
@@ -309,6 +322,34 @@ class TestCli:
         save_matrix_csv(np.array([[1.0, 2.0], [0.0, 1.0]]), p)
         rc = main(["spectrum", "--laplacian", str(p), "--out", str(tmp_path / "s.json")])
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("spectrum", None),
+            ("filter", ("--band", "0:3")),
+            ("filter", ("--band", "2:1")),
+            ("filter", ("--poly", "a,b")),
+        ],
+        ids=["malformed-json", "band-below-1", "band-reversed", "poly-not-numeric"],
+    )
+    def test_bad_input_exit_2(self, tmp_path, capsys, command, option):
+        cx = write_triangle_complex(tmp_path)
+        lap = tmp_path / "lap.csv"
+        main(["laplacian", "--complex", str(cx), "--out", str(lap)])
+        out = tmp_path / "out"
+        if command == "spectrum":
+            bad = tmp_path / "bad.json"
+            bad.write_text('{"n": 4, "rows": [')
+            argv = ["spectrum", "--laplacian", str(bad), "--out", str(out)]
+        else:
+            sig = tmp_path / "sig.csv"
+            save_signals(np.ones((4, 1)), sig)
+            argv = ["filter", "--laplacian", str(lap), "--signals", str(sig), *option, "--out", str(out)]
+        capsys.readouterr()
+        rc = main(argv)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("simplexsp: ")
 
     def test_bad_threads_env_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SIMPLEXSP_THREADS", "-1")

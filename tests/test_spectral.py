@@ -234,6 +234,20 @@ class TestSampling:
         with pytest.raises(ValueError):
             downsample_reconstruct(s, [1, 2], [s.vertices[0]], [1.0])
 
+    def test_unknown_sample_vertex_rejected(self):
+        # vertices are 1, 2, 3: id 0 is not one of them, although it would
+        # be a valid row index
+        s = eigendecompose(path_laplacian())
+        with pytest.raises(ValueError, match="not vertices"):
+            downsample_reconstruct(s, [1], [0], [1.0])
+
+    def test_positional_ids_without_vertex_labels(self):
+        m = path_laplacian().matrix
+        s = eigendecompose(m)
+        assert s.vertices == ()
+        out = downsample_reconstruct(s, [1], [0], [2.0])
+        np.testing.assert_allclose(out, np.full(3, 2.0), atol=1e-10)
+
     def test_greedy_succeeds_whenever_any_subset_does(self, rng):
         # exhaustive subset-search oracle on small spectra
         for _ in range(15):
