@@ -68,10 +68,12 @@ from .structure_learning import (
 )
 from .tasks import (
     AnomalyVerdict,
-    ExperimentConfig,
     compression_error,
+    compression_trials,
+    denoise_best_fractions,
     denoise_labels,
     detect_anomaly,
+    detection_rates,
     generate_bandlimited_set,
     generate_smooth_signals,
     inject_label_noise,

@@ -10,19 +10,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .complex_core import ComplexError, skeleton
+from .complex_core import ComplexError
 from .diagnostics import diagnostics_report
 from .io import (
     ParseError,
-    RunManifest,
     file_digest,
     load_complex,
     load_graph,
@@ -41,13 +41,9 @@ from .spectral import (
 )
 from .structure_learning import build_family, family_manifest, select_model
 from .tasks import (
-    compression_error,
-    denoise_labels,
-    detect_anomaly,
-    generate_bandlimited_set,
-    generate_smooth_signals,
-    inject_label_noise,
-    perturb_node,
+    compression_trials,
+    denoise_best_fractions,
+    detection_rates,
     planted_complex,
     two_cluster_graph,
 )
@@ -57,36 +53,112 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _write_manifest(args, config: dict, inputs: list, outputs: list, seed, t0: float):
-    digests = {str(p): file_digest(p) for p in inputs if p and Path(p).exists()}
-    manifest = RunManifest(
-        command=args.command,
-        config=config,
-        input_digests=digests,
-        seed=seed,
-        version=__version__,
-        elapsed_seconds=round(time.monotonic() - t0, 6),
-        outputs=[str(o) for o in outputs],
-    )
-    if outputs:
-        base = Path(outputs[0])
-        target = base if base.is_dir() else base.parent
-    else:
-        target = Path(".")
-    path = target / f"{args.command}.manifest.json"
-    manifest.write(path)
+def _write_manifest(command: str, config: dict, inputs: list, outputs: list, seed, t0: float):
+    """Record one run next to its first output; each cmd_* returns the
+    (config, inputs, outputs, seed) that ``main`` passes here."""
+    manifest = {
+        "command": command,
+        "config": config,
+        "input_digests": {str(p): file_digest(p) for p in inputs if p and Path(p).exists()},
+        "seed": seed,
+        "version": __version__,
+        "elapsed_seconds": round(time.monotonic() - t0, 6),
+        "outputs": [str(o) for o in outputs],
+    }
+    _write_json(Path(outputs[0]).parent / f"{command}.manifest.json", manifest, indent=1)
+
+
+def _write_json(path: Path, data, indent=None) -> Path:
+    path.write_text(json.dumps(data, indent=indent, sort_keys=True))
     return path
 
 
-def _load_config(path) -> dict:
+def _write_table(path: Path, header: list, rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _number(kind=float, lo=-math.inf, hi=math.inf):
+    """Converter of a config value to a finite ``kind`` within [lo, hi]."""
+
+    def convert(raw):
+        value = kind(raw)
+        if not (math.isfinite(value) and lo <= value <= hi):
+            raise ValueError(f"need a finite {kind.__name__} in [{lo}, {hi}], got {raw!r}")
+        return value
+
+    return convert
+
+
+def _many(convert):
+    def convert_all(raw) -> list:
+        if not isinstance(raw, list):
+            raise ValueError(f"need a list, got {raw!r}")
+        return [convert(v) for v in raw]
+
+    return convert_all
+
+
+def _text(raw) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"need a string, got {raw!r}")
+    return raw
+
+
+# keys every experiment config may set: key -> (default, converter)
+_SHARED_KEYS = {
+    "graph": (None, _text),
+    "invert_similarity": (False, bool),
+    "seed": (0, _number(int, 0)),
+    "bands": (1, _number(int)),
+    "out_dir": (".", _text),
+}
+
+
+def _experiment(args, **keys):
+    """Read an experiment config and set its run up.
+
+    ``keys`` maps each key of the command to (default, converter).  Every
+    value present, shared keys included, is converted here, and a bad one
+    is a ParseError naming its key.  The graph is loaded (a command with an
+    ``n`` key generates a two-cluster graph when none is given), the family
+    built and out_dir created.  Returns (raw config, values, graph, family,
+    out_dir).
+    """
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{args.config}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{args.config}: an experiment config is a JSON object")
+    values = {}
+    for key, (default, convert) in {**_SHARED_KEYS, **keys}.items():
+        try:
+            values[key] = convert(cfg[key]) if key in cfg else default
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{args.config}: config key {key!r}: {exc}") from exc
+    c = SimpleNamespace(**values)
+    if c.graph is not None:
+        g = load_graph(c.graph, c.invert_similarity)
+    elif "n" in keys:
+        g = two_cluster_graph(c.n, seed=c.seed)
+    else:
+        raise ParseError(f"{args.config}: config key 'graph' is missing")
+    family = build_family(g, p=c.p, num_bands=c.bands, seed=c.seed)
+    out_dir = Path(c.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, c, g, family, out_dir
+
+
+def _check_rows(path, values: np.ndarray, n: int) -> None:
+    if values.shape[0] != n:
+        raise ParseError(f"{path}: {values.shape[0]} rows, need one per vertex ({n})")
 
 
 def cmd_laplacian(args):
-    t0 = time.monotonic()
     x = load_complex(args.complex, args.invert_similarity)
     l = complex_laplacian(x)
     out = Path(args.out)
@@ -94,23 +166,15 @@ def cmd_laplacian(args):
         save_matrix_json(l, out)
     else:
         save_matrix_csv(l.matrix, out)
-    _write_manifest(args, {"complex": args.complex}, [args.complex], [out], None, t0)
-    return EXIT_OK
+    return {"complex": args.complex}, [args.complex], [out], None
 
 
 def cmd_spectrum(args):
-    t0 = time.monotonic()
     m = load_matrix(args.laplacian)
     s = eigendecompose(m)
-    out = Path(args.out)
-    out.write_text(
-        json.dumps(
-            {"eigenvalues": s.eigenvalues.tolist(), "eigenvectors": s.eigenvectors.tolist()},
-            sort_keys=True,
-        )
-    )
-    _write_manifest(args, {"laplacian": args.laplacian}, [args.laplacian], [out], None, t0)
-    return EXIT_OK
+    spectrum = {"eigenvalues": s.eigenvalues.tolist(), "eigenvectors": s.eigenvectors.tolist()}
+    out = _write_json(Path(args.out), spectrum)
+    return {"laplacian": args.laplacian}, [args.laplacian], [out], None
 
 
 def _parse_band(text: str, n: int) -> tuple:
@@ -127,19 +191,15 @@ def _parse_band(text: str, n: int) -> tuple:
 
 def _parse_poly(text: str) -> tuple:
     try:
-        return tuple(float(a) for a in text.split(","))
+        return tuple(_number()(a) for a in text.split(","))
     except ValueError as exc:
         raise ParseError(f"--poly {text!r}: {exc}") from exc
 
 
 def cmd_filter(args):
-    t0 = time.monotonic()
     m = load_matrix(args.laplacian)
     _, signals = load_signals(args.signals)
-    if signals.shape[0] != m.shape[0]:
-        raise ParseError(
-            f"signal length {signals.shape[0]} does not match laplacian size {m.shape[0]}"
-        )
+    _check_rows(args.signals, signals, m.shape[0])
     if args.band is not None:
         spec = FilterSpec(band=_parse_band(args.band, m.shape[0]))
     else:
@@ -149,27 +209,15 @@ def cmd_filter(args):
         [spec.apply(m, s, signals[:, j]) for j in range(signals.shape[1])]
     )
     save_signals(filtered, args.out)
-    _write_manifest(
-        args,
-        {"band": args.band, "poly": args.poly},
-        [args.laplacian, args.signals],
-        [args.out],
-        None,
-        t0,
-    )
-    return EXIT_OK
+    return {"band": args.band, "poly": args.poly}, [args.laplacian, args.signals], [args.out], None
 
 
 def cmd_learn(args):
-    t0 = time.monotonic()
     g = load_graph(args.graph, args.invert_similarity)
     family = build_family(g, p=args.p, num_bands=args.bands, seed=args.seed, mode=args.mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    manifest_path = out_dir / "family.json"
-    manifest_path.write_text(json.dumps(family_manifest(family), indent=1, sort_keys=True))
-    outputs.append(manifest_path)
+    outputs = [_write_json(out_dir / "family.json", family_manifest(family), indent=1)]
     for i, l in enumerate(family.laplacians):
         p = out_dir / f"laplacian_{i:02d}.csv"
         save_matrix_csv(l.matrix, p)
@@ -178,198 +226,107 @@ def cmd_learn(args):
     if args.signals:
         _, signals = load_signals(args.signals)
         b, errors = select_model(family, signals, args.r1)
-        table = out_dir / "residuals.csv"
-        with open(table, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "residual", "selected"])
-            for i, e in enumerate(errors):
-                writer.writerow([i, repr(float(e)), int(i == b)])
-        outputs.append(table)
+        rows = [[i, repr(float(e)), int(i == b)] for i, e in enumerate(errors)]
+        outputs.append(_write_table(out_dir / "residuals.csv", ["level", "residual", "selected"], rows))
         inputs.append(args.signals)
-    _write_manifest(
-        args,
-        {"p": args.p, "bands": args.bands, "r1": args.r1, "mode": args.mode},
-        inputs,
-        outputs,
-        args.seed,
-        t0,
-    )
-    return EXIT_OK
+    config = {"p": args.p, "bands": args.bands, "r1": args.r1, "mode": args.mode}
+    return config, inputs, outputs, args.seed
 
 
 def cmd_compress(args):
-    t0 = time.monotonic()
-    cfg = _load_config(args.config)
-    seed = int(cfg.get("seed", 0))
-    g = load_graph(cfg["graph"], cfg.get("invert_similarity", False))
-    family = build_family(
-        g, p=int(cfg.get("p", 20)), num_bands=int(cfg.get("bands", 1)), seed=seed
+    cfg, c, g, family, out_dir = _experiment(
+        args,
+        p=(20, _number(int)),
+        trials=(10, _number(int, 1)),
+        count=(20, _number(int)),
+        r1=(0.3, _number(float, 0, 1)),
+        r2=(None, _number(float, 0, 1)),
+        planted_fraction=(0.5, _number()),
+        signals=(None, _text),
     )
-    r1 = float(cfg.get("r1", 0.3))
-    r2 = float(cfg.get("r2", r1))
-    trials = int(cfg.get("trials", 10))
-    count = int(cfg.get("count", 20))
-    out_dir = Path(cfg.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if "signals" in cfg:
-        _, sigs = load_signals(cfg["signals"])
-        trials = 1
-        sig_source = None
+    if c.signals is not None:
+        _, source = load_signals(c.signals)
+        _check_rows(c.signals, source, g.n)
     else:
-        truth = planted_complex(g, float(cfg.get("planted_fraction", 0.5)), seed)
-        sig_source = eigendecompose(complex_laplacian(truth))
-
-    rows = []
-    for trial in range(trials):
-        if sig_source is not None:
-            s1 = generate_bandlimited_set(sig_source, r1, count, seed + 1000 + trial)
-            s2 = generate_bandlimited_set(sig_source, r2, count, seed + 2000 + trial)
-        else:
-            s1 = s2 = sigs
-        b, errors = select_model(family, s1, r1)
-        err_b = compression_error(family.spectrum(b), s2, r2)
-        err_0 = compression_error(family.spectrum(0), s2, r2)
-        rows.append([trial, b, err_b, err_0])
-
-    table = out_dir / "compression.csv"
-    with open(table, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "selected_level", "err_selected", "err_level0"])
-        writer.writerows(rows)
-    summary = out_dir / "compression_summary.json"
-    gains = [1 - r[2] / r[3] for r in rows if r[3] > 0]
-    summary.write_text(
-        json.dumps(
-            {
-                "trials": trials,
-                "mean_gain": float(np.mean(gains)) if gains else 0.0,
-                "wins": sum(1 for r in rows if r[2] < r[3]),
-            },
-            sort_keys=True,
-        )
+        source = eigendecompose(complex_laplacian(planted_complex(g, c.planted_fraction, c.seed)))
+    rows = compression_trials(
+        family, source, c.r1, c.r1 if c.r2 is None else c.r2, c.trials, c.count, c.seed
     )
-    _write_manifest(args, cfg, [cfg["graph"]], [table, summary], seed, t0)
-    return EXIT_OK
+    header = ["trial", "selected_level", "err_selected", "err_level0"]
+    table = _write_table(out_dir / "compression.csv", header, rows)
+    gains = [1 - r[2] / r[3] for r in rows if r[3] > 0]
+    summary = _write_json(
+        out_dir / "compression_summary.json",
+        {
+            "trials": len(rows),
+            "mean_gain": float(np.mean(gains)) if gains else 0.0,
+            "wins": sum(1 for r in rows if r[2] < r[3]),
+        },
+    )
+    return cfg, [c.graph], [table, summary], c.seed
 
 
 def cmd_detect(args):
-    t0 = time.monotonic()
-    cfg = _load_config(args.config)
-    seed = int(cfg.get("seed", 0))
-    g = load_graph(cfg["graph"], cfg.get("invert_similarity", False))
-    family = build_family(
-        g, p=int(cfg.get("p", 20)), num_bands=int(cfg.get("bands", 1)), seed=seed
+    cfg, c, g, family, out_dir = _experiment(
+        args,
+        p=(20, _number(int)),
+        trials=(100, _number(int, 1)),
+        r=(0.8, _number(float, 0, 1)),
+        epsilon=(0.05, _number()),
+        magnitudes=([10.0, 20.0, 30.0, 40.0, 50.0], _many(_number())),
+        strategies=(["S1", "S4"], _many(_text)),
+        s3_level=(2, _number(int)),
+        planted_fraction=(0.5, _number()),
+        amplitude=(50.0, _number()),
     )
-    r = float(cfg.get("r", 0.8))
-    epsilon = float(cfg.get("epsilon", 0.05))
-    magnitudes = [float(m) for m in cfg.get("magnitudes", [10, 20, 30, 40, 50])]
-    strategies = cfg.get("strategies", ["S1", "S4"])
-    trials = int(cfg.get("trials", 100))
-    level = int(cfg.get("s3_level", 2))
-    truth = planted_complex(g, float(cfg.get("planted_fraction", 0.5)), seed)
-    truth_spec = eigendecompose(complex_laplacian(truth))
-    amplitude = float(cfg.get("amplitude", 50.0))
-    out_dir = Path(cfg.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rng = np.random.default_rng(seed)
-    rates = {(m, s): 0 for m in magnitudes for s in strategies}
-    for trial in range(trials):
-        sigs = generate_smooth_signals(
-            truth_spec, 4, amplitude=amplitude, seed=seed + 10_000 + trial
-        )
-        baselines = [sigs[:, j] for j in range(3)]
-        vertex = int(rng.integers(0, g.n))
-        for mag in magnitudes:
-            anomalous = perturb_node(sigs[:, 3], vertex, mag, seed + trial)
-            for strat in strategies:
-                verdict = detect_anomaly(
-                    family, baselines, anomalous, r, epsilon, strat, level
-                )
-                if verdict.flagged:
-                    rates[(mag, strat)] += 1
-
-    table = out_dir / "detection.csv"
-    with open(table, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["magnitude", "strategy", "rate"])
-        for (mag, strat), hits in sorted(rates.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            writer.writerow([mag, strat, hits / trials])
-    _write_manifest(args, cfg, [cfg["graph"]], [table], seed, t0)
-    return EXIT_OK
+    truth = eigendecompose(complex_laplacian(planted_complex(g, c.planted_fraction, c.seed)))
+    rates = detection_rates(
+        family, truth, c.magnitudes, c.strategies, c.trials, c.r, c.epsilon,
+        c.amplitude, c.s3_level, c.seed,
+    )
+    rows = [[mag, strat, hits / c.trials] for (mag, strat), hits in sorted(rates.items())]
+    table = _write_table(out_dir / "detection.csv", ["magnitude", "strategy", "rate"], rows)
+    return cfg, [c.graph], [table], c.seed
 
 
 def cmd_denoise(args):
-    t0 = time.monotonic()
-    cfg = _load_config(args.config)
-    seed = int(cfg.get("seed", 0))
-    if "graph" in cfg:
-        g = load_graph(cfg["graph"], cfg.get("invert_similarity", False))
-        inputs = [cfg["graph"]]
-    else:
-        g = two_cluster_graph(int(cfg.get("n", 100)), seed=seed)
-        inputs = []
-    family = build_family(
-        g, p=int(cfg.get("p", 10)), num_bands=int(cfg.get("bands", 1)), seed=seed
+    cfg, c, g, family, out_dir = _experiment(
+        args,
+        n=(100, _number(int)),
+        p=(10, _number(int)),
+        trials=(50, _number(int, 1)),
+        labels=(None, _text),
+        num_classes=(None, _number(int)),
+        r=(0.01, _number()),
+        s=(0.9, _number()),
+        noise_fraction=(0.6, _number()),
+        snr_db=([2.0, 1.0, 0.0, -1.0, -2.0], _many(_number())),
     )
-    if "labels" in cfg:
-        _, lab = load_signals(cfg["labels"])
+    inputs = [] if c.graph is None else [c.graph]
+    if c.labels is not None:
+        _, lab = load_signals(c.labels)
+        _check_rows(c.labels, lab, g.n)
         labels = lab[:, 0]
-        inputs.append(cfg["labels"])
+        inputs.append(c.labels)
     else:
         labels = np.array([1 if v < g.n // 2 else 2 for v in range(g.n)], dtype=float)
-    num_classes = int(cfg.get("num_classes", int(labels.max())))
-    r = float(cfg.get("r", 0.01))
-    s = float(cfg.get("s", 0.9))
-    fraction = float(cfg.get("noise_fraction", 0.6))
-    snrs = [float(v) for v in cfg.get("snr_db", [2, 1, 0, -1, -2])]
-    trials = int(cfg.get("trials", 50))
-    out_dir = Path(cfg.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    best_frac = {}
-    for snr in snrs:
-        best_counts = np.zeros(family.p + 1)
-        for trial in range(trials):
-            noisy = inject_label_noise(labels, fraction, snr, seed + 31 * trial)
-            correct = [
-                int(
-                    np.sum(
-                        denoise_labels(family.spectrum(i), noisy, r, s, num_classes)
-                        == labels.astype(int)
-                    )
-                )
-                for i in range(family.p + 1)
-            ]
-            best = max(correct)
-            winners = [i for i, c in enumerate(correct) if c == best]
-            for i in winners:
-                best_counts[i] += 1.0 / len(winners)
-        best_frac[snr] = (best_counts / trials).tolist()
-
-    table = out_dir / "denoise.csv"
-    with open(table, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db"] + [f"L_X{i}" for i in range(family.p + 1)])
-        for snr in snrs:
-            writer.writerow([snr] + [round(v, 4) for v in best_frac[snr]])
-    _write_manifest(args, cfg, inputs, [table], seed, t0)
-    return EXIT_OK
+    num_classes = int(labels.max()) if c.num_classes is None else c.num_classes
+    best_frac = denoise_best_fractions(
+        family, labels, c.snr_db, c.trials, c.r, c.s, c.noise_fraction, num_classes, c.seed
+    )
+    rows = [[snr] + [round(v, 4) for v in best_frac[snr]] for snr in c.snr_db]
+    header = ["snr_db"] + [f"L_X{i}" for i in range(family.p + 1)]
+    return cfg, inputs, [_write_table(out_dir / "denoise.csv", header, rows)], c.seed
 
 
 def cmd_diagnose(args):
-    t0 = time.monotonic()
     x = load_complex(args.complex, args.invert_similarity)
     report = diagnostics_report(x)
-    out = Path(args.out)
-    out.write_text(json.dumps(report.as_dict(), indent=1, sort_keys=True))
-    _write_manifest(args, {"complex": args.complex}, [args.complex], [out], None, t0)
-    return EXIT_OK
+    out = _write_json(Path(args.out), report.as_dict(), indent=1)
+    return {"complex": args.complex}, [args.complex], [out], None
 
 
 def cmd_fit_filter(args):
-    t0 = time.monotonic()
     g = load_graph(args.graph, args.invert_similarity)
     _, signals = load_signals(args.signals)
     if signals.shape[1] < 2:
@@ -378,27 +335,10 @@ def cmd_fit_filter(args):
     fit = fit_continuous_filter(
         family, signals[:, 0], signals[:, 1], args.degree, args.t_grid
     )
-    out = Path(args.out)
-    out.write_text(
-        json.dumps(
-            {
-                "level": fit.level,
-                "t": fit.t,
-                "coeffs": fit.coeffs.tolist(),
-                "residual": fit.residual,
-            },
-            sort_keys=True,
-        )
-    )
-    _write_manifest(
-        args,
-        {"degree": args.degree, "p": args.p, "t_grid": args.t_grid},
-        [args.graph, args.signals],
-        [out],
-        args.seed,
-        t0,
-    )
-    return EXIT_OK
+    result = {"level": fit.level, "t": fit.t, "coeffs": fit.coeffs.tolist(), "residual": fit.residual}
+    out = _write_json(Path(args.out), result)
+    config = {"degree": args.degree, "p": args.p, "t_grid": args.t_grid}
+    return config, [args.graph, args.signals], [out], args.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,22 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # SIMPLEXSP_THREADS caps parallel trial fan-out; the harnesses run
-    # serially, so any positive cap is honored
-    threads = os.environ.get("SIMPLEXSP_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(f"simplexsp: invalid SIMPLEXSP_THREADS={threads!r}", file=sys.stderr)
-        return EXIT_VALIDATION
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
-    except (ParseError, ComplexError, FileNotFoundError, KeyError) as exc:
+        config, inputs, outputs, seed = args.func(args)
+        _write_manifest(args.command, config, inputs, outputs, seed, t0)
+    except (ParseError, ComplexError, OSError, KeyError) as exc:
         print(f"simplexsp: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"simplexsp: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

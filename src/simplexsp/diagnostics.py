@@ -9,7 +9,7 @@ non-shift-invariance certificate cross-checked by the numerical commutator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -59,8 +59,7 @@ def _triangle_membership(x: SimplicialComplex):
     return tri_vertices, edge_count
 
 
-def _edge_triangle_stats(x: SimplicialComplex):
-    _, edge_count = _triangle_membership(x)
+def _edge_triangle_stats(x: SimplicialComplex, edge_count: dict):
     counts = [edge_count.get(frozenset(e), 0) for e in x.edges]
     if not counts:
         return 0, 0
@@ -80,7 +79,10 @@ def interior_counts(x: SimplicialComplex):
     avoid 2-simplices.
     """
     _require_two_complex(x)
-    tri_vertices, edge_count = _triangle_membership(x)
+    return _interior_counts(x, *_triangle_membership(x))
+
+
+def _interior_counts(x: SimplicialComplex, tri_vertices: set, edge_count: dict):
     adj = x.graph().adjacency_sets()
 
     m1 = sum(1 for v in x.vertices if v not in tri_vertices)
@@ -119,22 +121,42 @@ class DistinctiveResult(NamedTuple):
     witness: tuple | None  # (i, j, value) of a violating entry, if any
 
 
-def _laplacians(x: SimplicialComplex):
-    """(L_X, L_{X^1}) of a 2-complex as dense matrices, assembled once per caller."""
+class _Facts(NamedTuple):
+    """What every diagnostic of one 2-complex shares, computed once."""
+
+    l_x: np.ndarray  # L_X, dense
+    l_g: np.ndarray  # L_{X^1}, dense
+    tri_vertices: set
+    edge_count: dict  # triangle edge -> number of triangles on it
+    counts: tuple  # interior_counts
+    distinctive: DistinctiveResult
+    connected: bool
+
+
+def _facts(x: SimplicialComplex, tol: float = 1e-10) -> _Facts:
     _require_two_complex(x)
-    return complex_laplacian(x).matrix, x.graph().laplacian_matrix()
+    l_x, l_g = complex_laplacian(x).matrix, x.graph().laplacian_matrix()
+    tri_vertices, edge_count = _triangle_membership(x)
+    return _Facts(
+        l_x,
+        l_g,
+        tri_vertices,
+        edge_count,
+        _interior_counts(x, tri_vertices, edge_count),
+        _distinctive(x, l_x, l_g, edge_count, tol),
+        len(connected_components(x.graph())) == 1,
+    )
 
 
 def distinctive_check(x: SimplicialComplex, tol: float = 1e-10) -> DistinctiveResult:
     """Which of L_{X^1} - L_X / L_X - L_{X^1} is a graph Laplacian supported
     on triangle edges (strictly negative off-diagonal there)."""
-    return _distinctive(x, *_laplacians(x), tol)
+    return _facts(x, tol).distinctive
 
 
-def _distinctive(x, l_x, l_g, tol: float = 1e-10) -> DistinctiveResult:
-    if not x.triangles():
+def _distinctive(x, l_x, l_g, edge_count: dict, tol: float) -> DistinctiveResult:
+    if not edge_count:
         return DistinctiveResult("neither", True, None)
-    _, edge_count = _triangle_membership(x)
     idx = x.index
     tri_edge_rows = [
         (idx[min(e, key=idx.__getitem__)], idx[max(e, key=idx.__getitem__)])
@@ -165,9 +187,8 @@ def _distinctive(x, l_x, l_g, tol: float = 1e-10) -> DistinctiveResult:
     return DistinctiveResult("neither", False, witness or witness2)
 
 
-def _prop1_conditions(x: SimplicialComplex):
+def _prop1_conditions(x: SimplicialComplex, tri_vertices: set, edge_count: dict):
     """The three geometric hypotheses of the non-shift-invariance result."""
-    tri_vertices, edge_count = _triangle_membership(x)
     adj = x.graph().adjacency_sets()
 
     # (a) no bare edge joining two distinct 2-simplices (edges belonging to
@@ -202,13 +223,12 @@ def shift_invariance_certificate(x: SimplicialComplex):
     The certificate asserts non-shift-invariance of L_X w.r.t. L_{X^1}; when
     it fires the numerical commutator should exceed 1e-8 as cross-evidence.
     """
-    return _certificate(x, *_laplacians(x))
+    return _certificate(x, _facts(x))
 
 
-def _certificate(x, l_x, l_g):
-    prop1 = _prop1_conditions(x)
-    m1, m2, m3, m4 = interior_counts(x)
-    distinctive = _distinctive(x, l_x, l_g)
+def _certificate(x, f: _Facts):
+    prop1 = _prop1_conditions(x, f.tri_vertices, f.edge_count)
+    m1, m2, m3, m4 = f.counts
     n = x.n
     # The constant vector is a common eigenvector (eigenvalue 0) of both
     # Laplacians, so the common-eigenspace dimension is at least 1; the
@@ -218,15 +238,13 @@ def _certificate(x, l_x, l_g):
     # common eigenvector that the m2 - m3 counting bound never charges,
     # and the conclusion can fail (e.g. a lone triangle plus a far-away
     # edge, where the two operators commute exactly).
-    connected = len(connected_components(x.graph())) == 1
     certificate = (
-        connected
-        and distinctive.direction != "neither"
+        f.connected
+        and f.distinctive.direction != "neither"
         and 1 <= (m1 + m4) < n
         and m2 <= m3 + m4
     )
-    comm = commutator_norm(l_x, l_g)
-    return prop1, certificate, comm
+    return prop1, certificate, commutator_norm(f.l_x, f.l_g)
 
 
 class SandwichBounds(NamedTuple):
@@ -245,21 +263,21 @@ def sandwich_bounds(x: SimplicialComplex, unit_tol: float = 1e-9) -> SandwichBou
     unit-edge-weight 2-complex.  The claimed bounds (k/3 factors) are
     reported alongside but never asserted.
     """
-    return _sandwich(x, *_laplacians(x), unit_tol)
+    return _sandwich(x, _facts(x), unit_tol)
 
 
-def _sandwich(x, l_x, l_g, unit_tol: float = 1e-9) -> SandwichBounds:
+def _sandwich(x, f: _Facts, unit_tol: float = 1e-9) -> SandwichBounds:
     if any(abs(w - 1.0) > unit_tol for w in x.edges.values()):
         raise ComplexError("sandwich bounds require unit edge weights")
-    if len(connected_components(x.graph())) != 1:
+    if not f.connected:
         raise ComplexError("sandwich bounds require a connected complex")
     n = x.n
     # orthonormal basis of the complement of the constant vector
     basis = np.linalg.qr(np.eye(n) - np.full((n, n), 1.0 / n))[0][:, : n - 1]
-    a = basis.T @ l_x @ basis
-    b = basis.T @ l_g @ basis
+    a = basis.T @ f.l_x @ basis
+    b = basis.T @ f.l_g @ basis
     vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    k_min, k_max = _edge_triangle_stats(x)
+    k_min, k_max = _edge_triangle_stats(x, f.edge_count)
     return SandwichBounds(
         float(vals.min()),
         float(vals.max()),
@@ -306,53 +324,32 @@ class DiagnosticsReport:
     difference_ratio_samples: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        d = {
-            "gamma_min": self.gamma_min,
-            "graph_type": self.graph_type,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "m1": self.m1,
-            "m2": self.m2,
-            "m3": self.m3,
-            "m4": self.m4,
-            "distinctive": self.distinctive,
-            "trivially_distinctive": self.trivially_distinctive,
-            "prop1_conditions": list(self.prop1_conditions),
-            "theorem_certificate": self.theorem_certificate,
-            "commutator": self.commutator,
-            "sandwich": list(self.sandwich) if self.sandwich is not None else None,
-            "difference_ratio_samples": self.difference_ratio_samples,
-        }
-        return d
+        """Field dict for JSON; the tuple fields serialize as lists."""
+        return asdict(self)
 
 
 def diagnostics_report(x: SimplicialComplex, seed: int = 0, ratio_samples: int = 5) -> DiagnosticsReport:
     """Assemble the full diagnostics record for a 2-complex."""
-    l_x, l_g = _laplacians(x)
+    f = _facts(x)
+    g = x.graph()
     triangles = x.triangles()
     gammas = [
-        shape_constant(
-            x.graph().weight(t[0], t[1]),
-            x.graph().weight(t[0], t[2]),
-            x.graph().weight(t[1], t[2]),
-        )
+        shape_constant(g.weight(t[0], t[1]), g.weight(t[0], t[2]), g.weight(t[1], t[2]))
         for t in triangles
     ]
-    k_min, k_max = _edge_triangle_stats(x)
-    m1, m2, m3, m4 = interior_counts(x)
-    distinctive = _distinctive(x, l_x, l_g)
-    prop1, certificate, comm = _certificate(x, l_x, l_g)
+    k_min, k_max = _edge_triangle_stats(x, f.edge_count)
+    m1, m2, m3, m4 = f.counts
+    prop1, certificate, comm = _certificate(x, f)
 
     sandwich = None
     unit = all(abs(w - 1.0) <= 1e-9 for w in x.edges.values())
-    if unit and len(connected_components(x.graph())) == 1:
-        sandwich = _sandwich(x, l_x, l_g)
+    if unit and f.connected:
+        sandwich = _sandwich(x, f)
 
     # empirical quadratic-form ratios <y, L_{X^1} y> / <x, L_X x> per triangle
     rng = np.random.default_rng(seed)
     ratios = []
     for t in triangles[: max(1, ratio_samples)]:
-        g = x.graph()
         w12, w13, w23 = g.weight(t[0], t[1]), g.weight(t[0], t[2]), g.weight(t[1], t[2])
         l_tri = two_simplex_closed_form(w12, w13, w23).matrix
         l_tri_g = WeightedGraph(
@@ -368,15 +365,15 @@ def diagnostics_report(x: SimplicialComplex, seed: int = 0, ratio_samples: int =
 
     return DiagnosticsReport(
         gamma_min=min(gammas) if gammas else None,
-        graph_type=is_graph_type(l_x, tol=1e-12),
+        graph_type=is_graph_type(f.l_x, tol=1e-12),
         k_min=k_min,
         k_max=k_max,
         m1=m1,
         m2=m2,
         m3=m3,
         m4=m4,
-        distinctive=distinctive.direction,
-        trivially_distinctive=distinctive.trivially_distinctive,
+        distinctive=f.distinctive.direction,
+        trivially_distinctive=f.distinctive.trivially_distinctive,
         prop1_conditions=prop1,
         theorem_certificate=certificate,
         commutator=comm,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from .laplacian import GeneralizedLaplacian
 
 __all__ = [
     "ParseError",
-    "RunManifest",
     "load_complex",
     "load_graph",
     "save_complex",
@@ -232,27 +230,3 @@ def save_matrix_json(l: GeneralizedLaplacian, path) -> None:
 def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
-
-@dataclass
-class RunManifest:
-    """Provenance record emitted once per CLI run."""
-
-    command: str
-    config: dict
-    input_digests: dict
-    seed: int | None
-    version: str
-    elapsed_seconds: float
-    outputs: list = field(default_factory=list)
-
-    def write(self, path) -> None:
-        data = {
-            "command": self.command,
-            "config": self.config,
-            "input_digests": self.input_digests,
-            "seed": self.seed,
-            "version": self.version,
-            "elapsed_seconds": self.elapsed_seconds,
-            "outputs": self.outputs,
-        }
-        Path(path).write_text(json.dumps(data, indent=1, sort_keys=True))

@@ -2,8 +2,10 @@
 
 Also hosts the synthetic generators used to reproduce the experiments at
 desk scale: bandlimited signal sets, smooth "sensor field" signals, planted
-2-complexes on a graph, and a two-cluster benchmark graph.  All randomness
-is seeded; trials derive their sub-seeds from (seed, trial index).
+2-complexes on a graph, and a two-cluster benchmark graph, and the trial
+loops of the three experiments (``compression_trials``, ``detection_rates``,
+``denoise_best_fractions``).  All randomness is seeded; trials derive their
+sub-seeds from (seed, trial index).
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import numpy as np
 
 from .complex_core import ComplexError, SimplicialComplex, WeightedGraph, enumerate_candidate_triangles
 from .spectral import Spectrum, gft, igft
-from .structure_learning import LaplacianFamily
+from .structure_learning import LaplacianFamily, select_model
 
 __all__ = [
-    "ExperimentConfig",
     "AnomalyVerdict",
     "compression_error",
+    "compression_trials",
+    "detection_rates",
+    "denoise_best_fractions",
     "generate_bandlimited_set",
     "generate_smooth_signals",
     "detect_anomaly",
@@ -30,30 +34,6 @@ __all__ = [
     "planted_complex",
     "two_cluster_graph",
 ]
-
-
-@dataclass
-class ExperimentConfig:
-    """Knobs shared by the three experiment harnesses."""
-
-    r1: float = 0.3
-    r2: float = 0.3
-    r: float = 0.8
-    epsilon: float = 0.05
-    s: float = 0.9
-    p: int = 20
-    snr_db: float = 0.0
-    noise_fraction: float = 0.6
-    seed: int = 0
-    trials: int = 100
-
-    def __post_init__(self):
-        if not 0 < self.r2 <= self.r1 <= 1:
-            raise ComplexError(f"need 0 < r2 <= r1 <= 1, got r1={self.r1}, r2={self.r2}")
-        if not 0 < self.r < 1:
-            raise ComplexError(f"need 0 < r < 1, got {self.r}")
-        if not 0 <= self.s <= 1:
-            raise ComplexError(f"need 0 <= s <= 1, got {self.s}")
 
 
 def _low_band(n: int, r: float) -> int:
@@ -90,6 +70,36 @@ def generate_bandlimited_set(
     norms = np.linalg.norm(sig, axis=0)
     norms[norms == 0] = 1.0
     return sig / norms
+
+
+def compression_trials(
+    family: LaplacianFamily,
+    source,
+    r1: float,
+    r2: float,
+    trials: int,
+    count: int,
+    seed: int = 0,
+) -> list:
+    """Rows [trial, selected level, its compression error, level 0's error].
+
+    ``source`` is a Spectrum, from which each trial draws ``count``
+    bandlimited signals at r1 to select the level and ``count`` more at r2
+    to score it, or a fixed signal array that does both in a single trial.
+    """
+    fixed = not isinstance(source, Spectrum)
+    rows = []
+    for trial in range(1 if fixed else trials):
+        if fixed:
+            s1 = s2 = source
+        else:
+            s1 = generate_bandlimited_set(source, r1, count, seed + 1000 + trial)
+            s2 = generate_bandlimited_set(source, r2, count, seed + 2000 + trial)
+        b, errors = select_model(family, s1, r1)
+        err_b = compression_error(family.spectrum(b), s2, r2)
+        err_0 = compression_error(family.spectrum(0), s2, r2)
+        rows.append([trial, b, err_b, err_0])
+    return rows
 
 
 def generate_smooth_signals(
@@ -159,8 +169,8 @@ def detect_anomaly(
     """High-frequency magnitude test: flag when b/a > 1 + epsilon.
 
     ``source`` is a Spectrum for single-operator use, or a LaplacianFamily
-    for the family strategies: S1 uses level 0, S3 a fixed ``level``, S2
-    reports per-level verdicts (the best is resolved by the harness), S4
+    for the family strategies: S1 uses level 0, S3 a fixed ``level`` in
+    0..p, S2 only reports the per-level verdicts (``flagged`` is None), S4
     flags when at least a third of the levels flag individually.
     """
     baselines = [np.asarray(x, dtype=float) for x in baseline_signals]
@@ -171,8 +181,8 @@ def detect_anomaly(
     if strategy == "S1":
         return _single_verdict(family.spectrum(0), baselines, test_signal, r, epsilon, "S1", 0)
     if strategy == "S3":
-        if level is None:
-            raise ComplexError("strategy S3 needs a fixed level index")
+        if level is None or not 0 <= level <= family.p:
+            raise ComplexError(f"strategy S3 needs a level in 0..{family.p}, got {level}")
         return _single_verdict(
             family.spectrum(level), baselines, test_signal, r, epsilon, "S3", level
         )
@@ -187,6 +197,43 @@ def detect_anomaly(
         need = -(-(family.p + 1) // 3)  # ceil((p+1)/3)
         return AnomalyVerdict(np.nan, np.nan, votes >= need, "S4", None, per_level)
     raise ComplexError(f"unknown strategy {strategy!r}")
+
+
+def detection_rates(
+    family: LaplacianFamily,
+    truth: Spectrum,
+    magnitudes,
+    strategies,
+    trials: int,
+    r: float,
+    epsilon: float,
+    amplitude: float,
+    level: int | None = None,
+    seed: int = 0,
+) -> dict:
+    """Flag counts per (magnitude, strategy) over ``trials`` detection trials.
+
+    Each trial draws four smooth signals of the given amplitude from
+    ``truth``: three baselines and one perturbed at a random vertex by each
+    magnitude in turn.  ``level`` is the fixed level of S3.  S2 has no
+    verdict of its own, so only S1, S3 and S4 are accepted.
+    """
+    for strat in strategies:
+        if strat not in ("S1", "S3", "S4"):
+            raise ComplexError(f"detection_rates needs strategies S1, S3 or S4, got {strat!r}")
+    rng = np.random.default_rng(seed)
+    rates = {(m, s): 0 for m in magnitudes for s in strategies}
+    for trial in range(trials):
+        sigs = generate_smooth_signals(truth, 4, amplitude=amplitude, seed=seed + 10_000 + trial)
+        baselines = [sigs[:, j] for j in range(3)]
+        vertex = int(rng.integers(0, truth.n))
+        for mag in magnitudes:
+            anomalous = perturb_node(sigs[:, 3], vertex, mag, seed + trial)
+            for strat in strategies:
+                verdict = detect_anomaly(family, baselines, anomalous, r, epsilon, strat, level)
+                if verdict.flagged:
+                    rates[(mag, strat)] += 1
+    return rates
 
 
 def inject_label_noise(
@@ -243,6 +290,39 @@ def denoise_labels(
     if num_classes is None:
         num_classes = max(1, int(np.rint(noisy.max())))
     return np.clip(labels, 1, num_classes)
+
+
+def denoise_best_fractions(
+    family: LaplacianFamily,
+    labels: np.ndarray,
+    snrs,
+    trials: int,
+    r: float,
+    s: float,
+    fraction: float,
+    num_classes: int | None = None,
+    seed: int = 0,
+) -> dict:
+    """For each SNR, the share of trials in which each level recovers the
+    most labels; a tie splits the trial equally among the tied levels."""
+    if trials < 1:
+        raise ComplexError(f"need at least one trial, got {trials}")
+    truth = labels.astype(int)
+    best_frac = {}
+    for snr in snrs:
+        best_counts = np.zeros(family.p + 1)
+        for trial in range(trials):
+            noisy = inject_label_noise(labels, fraction, snr, seed + 31 * trial)
+            correct = [
+                int(np.sum(denoise_labels(family.spectrum(i), noisy, r, s, num_classes) == truth))
+                for i in range(family.p + 1)
+            ]
+            best = max(correct)
+            winners = [i for i, c in enumerate(correct) if c == best]
+            for i in winners:
+                best_counts[i] += 1.0 / len(winners)
+        best_frac[snr] = (best_counts / trials).tolist()
+    return best_frac
 
 
 def planted_complex(g: WeightedGraph, fraction: float, seed: int = 0) -> SimplicialComplex:

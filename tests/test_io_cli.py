@@ -1,7 +1,12 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexsp import SimplicialComplex, complex_laplacian, from_edge_list
 from simplexsp.cli import main
@@ -330,8 +335,12 @@ class TestCli:
             ("filter", ("--band", "0:3")),
             ("filter", ("--band", "2:1")),
             ("filter", ("--poly", "a,b")),
+            ("filter", ("--poly", "nan")),
+            ("filter", ("--poly", "inf")),
+            ("filter", ("--poly", "1e400")),
         ],
-        ids=["malformed-json", "band-below-1", "band-reversed", "poly-not-numeric"],
+        ids=["malformed-json", "band-below-1", "band-reversed", "poly-not-numeric",
+             "poly-nan", "poly-inf", "poly-overflow"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, command, option):
         cx = write_triangle_complex(tmp_path)
@@ -351,14 +360,112 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("simplexsp: ")
 
-    def test_bad_threads_env_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIMPLEXSP_THREADS", "-1")
-        cx = write_triangle_complex(tmp_path)
-        rc = main(["laplacian", "--complex", str(cx), "--out", str(tmp_path / "o.csv")])
-        assert rc == 2
 
-    def test_good_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIMPLEXSP_THREADS", "2")
-        cx = write_triangle_complex(tmp_path)
-        rc = main(["laplacian", "--complex", str(cx), "--out", str(tmp_path / "o.csv")])
-        assert rc == 0
+# two triangles sharing the edge 2-3, and a path 4-5-6 hanging off vertex 4
+SIX_VERTEX_EDGES = "1,2,1.0\n1,3,1.0\n2,3,1.0\n2,4,1.0\n3,4,1.0\n4,5,1.0\n5,6,1.0\n"
+
+
+def run_config(tmp_path, command, cfg):
+    """Run an experiment command on the six-vertex graph; cfg may be any JSON value."""
+    graph = tmp_path / "g.csv"
+    graph.write_text(SIX_VERTEX_EDGES)
+    if isinstance(cfg, dict):
+        cfg = {"graph": str(graph), "p": 2, "trials": 1, "out_dir": str(tmp_path / "out"), **cfg}
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    return main([command, "--config", str(cfgp)])
+
+
+class TestExperimentConfigs:
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("detect", {"trials": 0}, "trials"),
+            ("denoise", {"trials": 0}, "trials"),
+            ("compress", {"p": "abc"}, "p"),
+            ("detect", {"magnitudes": ["x"]}, "magnitudes"),
+            ("compress", [1, 2], None),
+        ],
+        ids=["detect-zero-trials", "denoise-zero-trials", "compress-p-not-integer",
+             "detect-magnitude-not-numeric", "config-not-an-object"],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg, key):
+        rc = run_config(tmp_path, command, cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simplexsp: ")
+        if key is not None:
+            assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"strategies": ["S1", "S2"]}, {"strategies": ["S3"], "s3_level": 9},
+         {"strategies": ["S3"], "s3_level": -1}],
+        ids=["S2-has-no-verdict", "s3-level-above-p", "s3-level-negative"],
+    )
+    def test_detect_strategy_exit_2(self, tmp_path, capsys, cfg):
+        assert run_config(tmp_path, "detect", cfg) == 2
+        assert capsys.readouterr().err.startswith("simplexsp: ")
+
+    def test_manifest_records_raw_config(self, tmp_path):
+        cfg = {"p": "2", "trials": 2.0, "magnitudes": [10], "extra": {"note": [1]}}
+        assert run_config(tmp_path, "detect", cfg) == 0
+        manifest = json.loads((tmp_path / "out" / "detect.manifest.json").read_text())
+        assert manifest["config"] == {
+            "graph": str(tmp_path / "g.csv"), "out_dir": str(tmp_path / "out"), **cfg
+        }
+        rows = (tmp_path / "out" / "detection.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[0] for row in rows[1:]] == ["10.0,S1", "10.0,S4"]
+
+
+# wrong types and non-finite numbers, mixed into each key's plausible values
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(-5, 5),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+)
+FRACTIONS = st.floats(-0.5, 1.5)
+DETECT_KEYS = {
+    "trials": st.integers(-1, 3) | ODD_VALUES,
+    "p": st.integers(-1, 3) | ODD_VALUES,
+    "s3_level": st.integers(-2, 5) | ODD_VALUES,
+    "strategies": st.lists(st.sampled_from(["S1", "S2", "S3", "S4", "S9"]), max_size=3) | ODD_VALUES,
+    "magnitudes": st.lists(st.floats(-50, 50) | ODD_VALUES, max_size=3) | ODD_VALUES,
+    "r": FRACTIONS | ODD_VALUES,
+}
+DENOISE_KEYS = {
+    "trials": st.integers(-1, 3) | ODD_VALUES,
+    "p": st.integers(-1, 3) | ODD_VALUES,
+    "r": FRACTIONS | ODD_VALUES,
+    "s": FRACTIONS | ODD_VALUES,
+    "snr_db": st.lists(st.floats(-5, 5) | ODD_VALUES, max_size=2) | ODD_VALUES,
+}
+FUZZ_RUNS = st.one_of(
+    st.tuples(st.just("filter"), st.sampled_from(["--band", "--poly"]),
+              st.text(alphabet="0123456789:,.-+eEinfa ", max_size=8)),
+    st.tuples(st.just("detect"), st.fixed_dictionaries({}, optional=DETECT_KEYS)),
+    st.tuples(st.just("denoise"), st.fixed_dictionaries({}, optional=DENOISE_KEYS)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FUZZ_RUNS)
+def test_cli_fuzz_exits_0_2_or_3(run):
+    """No filter option or experiment config value makes the CLI raise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if run[0] == "filter":
+            _, option, text = run
+            cx = write_triangle_complex(tmp)
+            lap = tmp / "lap.csv"
+            assert main(["laplacian", "--complex", str(cx), "--out", str(lap)]) == 0
+            save_signals(np.ones((4, 1)), tmp / "sig.csv")
+            rc = main(["filter", "--laplacian", str(lap), "--signals", str(tmp / "sig.csv"),
+                       f"{option}={text}", "--out", str(tmp / "f.csv")])
+        else:
+            command, cfg = run
+            rc = run_config(tmp, command, cfg)
+        assert rc in (0, 2, 3)

@@ -4,15 +4,17 @@ import pytest
 from simplexsp import (
     AnomalyVerdict,
     ComplexError,
-    ExperimentConfig,
     SimplicialComplex,
     Spectrum,
     bandpass,
     build_family,
     complex_laplacian,
     compression_error,
+    compression_trials,
+    denoise_best_fractions,
     denoise_labels,
     detect_anomaly,
+    detection_rates,
     eigendecompose,
     generate_bandlimited_set,
     generate_smooth_signals,
@@ -29,24 +31,6 @@ from conftest import random_metric_complex
 def trivial_spectrum(n):
     """Identity eigenbasis: GFT coefficients equal the raw signal."""
     return Spectrum(np.arange(n, dtype=float), np.eye(n), tuple(range(n)))
-
-
-class TestExperimentConfig:
-    def test_defaults_valid(self):
-        cfg = ExperimentConfig()
-        assert cfg.r1 == 0.3 and cfg.p == 20
-
-    def test_r2_gt_r1_rejected(self):
-        with pytest.raises(ComplexError):
-            ExperimentConfig(r1=0.2, r2=0.5)
-
-    def test_r_out_of_range(self):
-        with pytest.raises(ComplexError):
-            ExperimentConfig(r=1.0)
-
-    def test_s_out_of_range(self):
-        with pytest.raises(ComplexError):
-            ExperimentConfig(s=1.5)
 
 
 class TestCompressionError:
@@ -186,8 +170,9 @@ class TestDetectAnomaly:
         test = rng.standard_normal(12)
         v = detect_anomaly(fam, base, test, r=0.5, epsilon=0.05, strategy="S3", level=2)
         assert v.level == 2
-        with pytest.raises(ComplexError):
-            detect_anomaly(fam, base, test, r=0.5, epsilon=0.05, strategy="S3")
+        for level in (None, -1, fam.p + 1):
+            with pytest.raises(ComplexError):
+                detect_anomaly(fam, base, test, r=0.5, epsilon=0.05, strategy="S3", level=level)
 
     def test_s2_reports_per_level(self, rng):
         fam = self._family(rng)
@@ -342,3 +327,51 @@ class TestGenerators:
         b = generate_smooth_signals(s, 4, seed=2)
         assert a.shape == (15, 4)
         np.testing.assert_array_equal(a, b)
+
+
+class TestExperimentHarnesses:
+    def _setup(self, rng, p=2):
+        x = random_metric_complex(rng, n=12, edge_prob=0.6, triangle_prob=1.0, connected=True)
+        g = x.graph()
+        truth = eigendecompose(complex_laplacian(planted_complex(g, 0.5, seed=1)))
+        return build_family(g, p=p, seed=0), truth
+
+    def test_compression_trials_rows(self, rng):
+        fam, truth = self._setup(rng)
+        rows = compression_trials(fam, truth, 0.3, 0.2, trials=3, count=4, seed=2)
+        assert [r[0] for r in rows] == [0, 1, 2]
+        for trial, b, err_b, err_0 in rows:
+            scored = generate_bandlimited_set(truth, 0.2, 4, 2 + 2000 + trial)
+            assert 0 <= b <= fam.p
+            assert err_b == compression_error(fam.spectrum(b), scored, 0.2)
+            assert err_0 == compression_error(fam.spectrum(0), scored, 0.2)
+
+    def test_compression_trials_fixed_signals_run_once(self, rng):
+        fam, _ = self._setup(rng)
+        sig = rng.standard_normal((12, 3))
+        rows = compression_trials(fam, sig, 0.3, 0.5, trials=5, count=4)
+        assert len(rows) == 1
+        assert rows[0][3] == compression_error(fam.spectrum(0), sig, 0.5)
+
+    def test_detection_rates_counts(self, rng):
+        fam, truth = self._setup(rng)
+        rates = detection_rates(fam, truth, [5.0, 50.0], ["S1", "S3", "S4"], 3, 0.8, 0.05, 50.0, 1)
+        assert set(rates) == {(m, s) for m in (5.0, 50.0) for s in ("S1", "S3", "S4")}
+        assert all(0 <= hits <= 3 for hits in rates.values())
+
+    def test_detection_rates_reject_s2(self, rng):
+        fam, truth = self._setup(rng)
+        with pytest.raises(ComplexError):
+            detection_rates(fam, truth, [10.0], ["S1", "S2"], 1, 0.8, 0.05, 50.0)
+
+    def test_denoise_best_fractions_sum_to_one(self):
+        g = two_cluster_graph(20, seed=3)
+        fam = build_family(g, p=2, seed=3)
+        labels = np.array([1.0] * 10 + [2.0] * 10)
+        best = denoise_best_fractions(fam, labels, [0.0, -1.0], 4, 0.1, 0.5, 0.6, 2, seed=3)
+        assert list(best) == [0.0, -1.0]
+        for fractions in best.values():
+            assert len(fractions) == fam.p + 1
+            assert sum(fractions) == pytest.approx(1.0)
+        with pytest.raises(ComplexError):
+            denoise_best_fractions(fam, labels, [0.0], 0, 0.1, 0.5, 0.6, 2)
