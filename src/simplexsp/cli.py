@@ -82,11 +82,13 @@ def _write_table(path: Path, header: list, rows) -> Path:
 
 
 def _number(kind=float, lo=-math.inf, hi=math.inf):
-    """Converter of a config value to a finite ``kind`` within [lo, hi]."""
+    """Converter of a config value to a finite ``kind`` within [lo, hi]; a
+    boolean, or a fractional float for an int, is refused, not truncated."""
 
     def convert(raw):
         value = kind(raw)
-        if not (math.isfinite(value) and lo <= value <= hi):
+        fractional = isinstance(raw, float) and value != raw
+        if isinstance(raw, bool) or fractional or not (math.isfinite(value) and lo <= value <= hi):
             raise ValueError(f"need a finite {kind.__name__} in [{lo}, {hi}], got {raw!r}")
         return value
 
@@ -108,10 +110,16 @@ def _text(raw) -> str:
     return raw
 
 
+def _flag(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"need true or false, got {raw!r}")
+    return raw
+
+
 # keys every experiment config may set: key -> (default, converter)
 _SHARED_KEYS = {
     "graph": (None, _text),
-    "invert_similarity": (False, bool),
+    "invert_similarity": (False, _flag),
     "seed": (0, _number(int, 0)),
     "bands": (1, _number(int)),
     "out_dir": (".", _text),
@@ -263,7 +271,7 @@ def cmd_compress(args):
             "wins": sum(1 for r in rows if r[2] < r[3]),
         },
     )
-    return cfg, [c.graph], [table, summary], c.seed
+    return cfg, [c.graph, c.signals], [table, summary], c.seed
 
 
 def cmd_detect(args):

@@ -26,6 +26,7 @@ __all__ = [
     "star_expansion",
     "simplex_laplacian",
     "two_simplex_closed_form",
+    "add_simplex_block",
     "complex_laplacian",
     "shape_constant",
     "is_graph_type",
@@ -168,6 +169,31 @@ def two_simplex_closed_form(
     return GeneralizedLaplacian(_two_simplex_matrix(w12, w13, w23), verts, (verts,))
 
 
+def add_simplex_block(lap: np.ndarray, rows, weights, sign: float = 1.0) -> None:
+    """Add ``sign`` (+1 or -1) times one simplex's Laplacian block to ``lap``.
+
+    ``rows`` are the simplex's rows in ``lap``, ``weights`` the lengths of
+    its vertex pairs in ``itertools.combinations(rows, 2)`` order.  An edge
+    adds w [[1,-1],[-1,1]] as four scalar updates, a 2-simplex its closed
+    form and a larger simplex its star expansion; with sign -1 every entry
+    gets exactly the bits of subtracting the block.
+    """
+    if len(rows) == 2:
+        i, j = rows
+        w = sign * weights[0]
+        lap[i, i] += w
+        lap[j, j] += w
+        lap[i, j] -= w
+        lap[j, i] -= w
+        return
+    if len(rows) == 3:
+        block = _two_simplex_matrix(*weights)
+    else:
+        pairs = dict(zip(itertools.combinations(rows, 2), weights))
+        block = simplex_laplacian(star_expansion(rows, pairs)).matrix
+    lap[np.ix_(rows, rows)] += sign * block
+
+
 def complex_laplacian(x: SimplicialComplex) -> GeneralizedLaplacian:
     """Sum of simplex Laplacians over the maximal simplices of the complex.
 
@@ -186,27 +212,10 @@ def complex_laplacian(x: SimplicialComplex) -> GeneralizedLaplacian:
     lap = np.zeros((n, n))
     provenance = []
     for s in maximal_simplices(x):
-        rows = [idx[v] for v in s]
-        if len(s) >= 3:
-            weights = {
-                (u, v): x.edges[x.graph().pair(u, v)]
-                for u, v in itertools.combinations(s, 2)
-            }
-            if len(s) == 3:
-                block = _two_simplex_matrix(
-                    weights[(s[0], s[1])], weights[(s[0], s[2])], weights[(s[1], s[2])]
-                )
-            else:
-                block = simplex_laplacian(star_expansion(s, weights)).matrix
-            lap[np.ix_(rows, rows)] += block
-            provenance.append(s)
-        elif len(s) == 2:
-            w = x.edges[x.graph().pair(s[0], s[1])]
-            i, j = rows
-            lap[i, i] += w
-            lap[j, j] += w
-            lap[i, j] -= w
-            lap[j, i] -= w
+        if len(s) >= 2:
+            # maximal simplices and edge keys both list vertices in vertex order
+            weights = [x.edges[e] for e in itertools.combinations(s, 2)]
+            add_simplex_block(lap, [idx[v] for v in s], weights)
             provenance.append(s)
     lap = (lap + lap.T) / 2.0
     return GeneralizedLaplacian(lap, x.vertices, tuple(provenance))

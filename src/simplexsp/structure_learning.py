@@ -24,7 +24,7 @@ from .complex_core import (
     WeightedGraph,
     enumerate_candidate_triangles,
 )
-from .laplacian import GeneralizedLaplacian, _two_simplex_matrix
+from .laplacian import GeneralizedLaplacian, add_simplex_block
 from .spectral import Spectrum, eigendecompose
 
 __all__ = [
@@ -50,18 +50,19 @@ class TriangleQueue:
 
 @dataclass
 class LaplacianFamily:
-    """Nested complexes X_0 c ... c X_p with their generalized Laplacians."""
+    """Nested complexes X_0 c ... c X_p with their generalized Laplacians.
 
-    complexes: list
+    X_i is the graph plus the triangles of ``batches[:i]``; ``weights`` maps
+    each vertex pair (a frozenset) to its length, mode 'all' fills included.
+    """
+
+    graph: WeightedGraph
+    weights: dict
     laplacians: list
     batches: list
     queue: TriangleQueue
     seed: int = 0
-    _spectra: list = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not self._spectra:
-            self._spectra = [None] * len(self.laplacians)
+    _spectra: dict = field(default_factory=dict, repr=False)
 
     @property
     def p(self) -> int:
@@ -72,9 +73,29 @@ class LaplacianFamily:
         return [l.matrix for l in self.laplacians]
 
     def spectrum(self, i: int) -> Spectrum:
-        if self._spectra[i] is None:
+        if i not in self._spectra:
             self._spectra[i] = eigendecompose(self.laplacians[i])
         return self._spectra[i]
+
+    def _levels(self):
+        """(edges, triangles) of X_0, ..., X_p in turn, grown in place; the
+        pairs triangles add follow the graph's edges in order of first use."""
+        edges = dict(self.graph.edges)
+        triangles: list = []
+        yield edges, triangles
+        for batch in self.batches:
+            for t in batch:
+                for e in itertools.combinations(t, 2):
+                    edges.setdefault(e, self.weights[frozenset(e)])
+            triangles.extend(batch)
+            yield edges, triangles
+
+    def complex(self, i: int) -> SimplicialComplex:
+        """The complex X_i, built on demand."""
+        if not 0 <= i <= self.p:
+            raise ComplexError(f"level must lie in 0..{self.p}, got {i}")
+        edges, triangles = next(itertools.islice(self._levels(), i, None))
+        return SimplicialComplex(self.graph.vertices, edges, triangles)
 
 
 def _triangle_size(t, weights) -> float:
@@ -187,9 +208,9 @@ def build_family(
 ) -> LaplacianFamily:
     """Run the full pipeline: enumerate, band, order, partition, assemble.
 
-    Laplacians are updated incrementally: each added triangle contributes
-    its closed-form block and retires the edge blocks of edges that stop
-    being maximal.
+    Laplacians are updated incrementally: each added triangle retires the
+    edge blocks of graph edges it is the first to cover, then adds its
+    closed-form block.
     """
     triples = enumerate_candidate_triangles(g, mode)
     triples, wmap = _triple_weights(g, triples, mode)
@@ -204,46 +225,28 @@ def build_family(
 
     idx = g.index
     lap = g.laplacian_matrix()
-    edges = dict(g.edges)
-    edge_keys = {frozenset(e) for e in edges}
-    tri_count: dict = {}
-    triangles: set = set()
-
-    complexes = [SimplicialComplex(g.vertices, edges)]
     laplacians = [GeneralizedLaplacian((lap + lap.T) / 2.0, g.vertices, ())]
+    # graph edges no triangle covers yet, as rows in the vertex order
+    bare = {(idx[u], idx[v]) for u, v in g.edges}
+    triangles: list = []
 
     for batch in batches:
         lap = lap.copy()
         for t in batch:
-            pair_w = {}
-            for u, v in itertools.combinations(t, 2):
-                key = frozenset((u, v))
-                w = wmap[key]
-                pair_w[(u, v)] = w
-                if key not in edge_keys:
-                    edges[g.pair(u, v)] = w
-                    edge_keys.add(key)
-                    tri_count[key] = 0
-                elif tri_count.get(key, 0) == 0:
-                    # the edge stops being a maximal simplex: retire its block
-                    i, j = idx[u], idx[v]
-                    lap[i, i] -= w
-                    lap[j, j] -= w
-                    lap[i, j] += w
-                    lap[j, i] += w
-                tri_count[key] = tri_count.get(key, 0) + 1
             rows = [idx[v] for v in t]
-            block = _two_simplex_matrix(
-                pair_w[(t[0], t[1])], pair_w[(t[0], t[2])], pair_w[(t[1], t[2])]
-            )
-            lap[np.ix_(rows, rows)] += block
-            triangles.add(t)
-        complexes.append(SimplicialComplex(g.vertices, edges, triangles))
+            weights = [wmap[frozenset(e)] for e in itertools.combinations(t, 2)]
+            for pair, w in zip(itertools.combinations(rows, 2), weights):
+                if pair in bare:
+                    # the edge stops being a maximal simplex: retire its block
+                    bare.remove(pair)
+                    add_simplex_block(lap, pair, [w], -1.0)
+            add_simplex_block(lap, rows, weights)
+        triangles.extend(batch)
+        triangles.sort(key=lambda t: tuple(idx[v] for v in t))
         sym = (lap + lap.T) / 2.0
-        prov = tuple(sorted(triangles, key=lambda t: tuple(idx[v] for v in t)))
-        laplacians.append(GeneralizedLaplacian(sym, g.vertices, prov))
+        laplacians.append(GeneralizedLaplacian(sym, g.vertices, tuple(triangles)))
 
-    return LaplacianFamily(complexes, laplacians, batches, queue, seed)
+    return LaplacianFamily(g, wmap, laplacians, batches, queue, seed)
 
 
 def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
@@ -276,17 +279,17 @@ def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
 def family_manifest(family: LaplacianFamily) -> dict:
     """JSON-ready summary of a learned family (deterministic field order)."""
     levels = []
-    for x, l in zip(family.complexes, family.laplacians):
+    for (edges, triangles), l in zip(family._levels(), family.laplacians):
         digest = hashlib.sha256(np.ascontiguousarray(l.matrix).tobytes()).hexdigest()
         levels.append(
             {
-                "num_edges": len(x.edges),
-                "num_triangles": len(x.simplices),
+                "num_edges": len(edges),
+                "num_triangles": len(triangles),
                 "laplacian_sha256": digest,
             }
         )
     return {
-        "n": family.complexes[0].n,
+        "n": family.graph.n,
         "p": family.p,
         "seed": family.seed,
         "bands": [list(b) for b in family.queue.bands],

@@ -216,11 +216,15 @@ def detection_rates(
     Each trial draws four smooth signals of the given amplitude from
     ``truth``: three baselines and one perturbed at a random vertex by each
     magnitude in turn.  ``level`` is the fixed level of S3.  S2 has no
-    verdict of its own, so only S1, S3 and S4 are accepted.
+    verdict of its own, so only S1, S3 and S4 are accepted, and magnitudes
+    and strategies must not repeat.
     """
     for strat in strategies:
         if strat not in ("S1", "S3", "S4"):
             raise ComplexError(f"detection_rates needs strategies S1, S3 or S4, got {strat!r}")
+    if len(set(magnitudes)) < len(magnitudes) or len(set(strategies)) < len(strategies):
+        # a repeat would count its flags twice under one key
+        raise ComplexError("detection_rates needs distinct magnitudes and strategies")
     rng = np.random.default_rng(seed)
     rates = {(m, s): 0 for m in magnitudes for s in strategies}
     for trial in range(trials):

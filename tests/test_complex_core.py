@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from simplexsp import (
     ComplexError,
@@ -19,36 +18,8 @@ from simplexsp import (
     skeleton,
 )
 
+from conftest import random_complexes
 from oracles import maximal_simplices_quadratic
-
-# Integers, non-integer floats and strings.  A draw that mixes strings with
-# numbers is unsortable, so its vertex order falls back to first appearance.
-VERTEX_POOL = [0, 1, 2, 3, 4, 5, 6, 7, 2.5, -1.5, 10.25, "a", "b", "c", "v9"]
-
-
-@st.composite
-def random_complexes(draw):
-    """Stored simplices of 3-5 vertices, each with all, none or some of its
-    faces of size >= 3, plus bare edges and isolated vertices."""
-    vertices = draw(st.lists(st.sampled_from(VERTEX_POOL), min_size=1, max_size=10, unique=True))
-    simplices = set()
-    if len(vertices) >= 3:
-        top = st.lists(
-            st.sampled_from(vertices), min_size=3, max_size=min(5, len(vertices)), unique=True
-        )
-        for s in draw(st.lists(top, max_size=6)):
-            simplices.add(tuple(s))
-            faces = draw(st.sampled_from(["all", "none", "some"]))
-            for size in range(3, len(s)):
-                for f in itertools.combinations(s, size):
-                    if faces == "all" or (faces == "some" and draw(st.booleans())):
-                        simplices.add(f)
-    edges = {frozenset(e) for s in simplices for e in itertools.combinations(s, 2)}
-    pairs = list(itertools.combinations(vertices, 2))
-    if pairs:
-        edges.update(frozenset(e) for e in draw(st.lists(st.sampled_from(pairs), max_size=8)))
-    return SimplicialComplex(vertices, {tuple(e): 1.0 for e in edges}, simplices)
-
 
 class TestFromEdgeList:
     def test_default_weights(self):

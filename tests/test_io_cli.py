@@ -12,6 +12,7 @@ from simplexsp import SimplicialComplex, complex_laplacian, from_edge_list
 from simplexsp.cli import main
 from simplexsp.io import (
     ParseError,
+    file_digest,
     load_complex,
     load_graph,
     load_matrix,
@@ -285,6 +286,22 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "compression_summary.json").read_text())
         assert summary["trials"] == 2
 
+    def test_compress_digests_signals(self, tmp_path, rng):
+        gpath = tmp_path / "g.csv"
+        gpath.write_text(SIX_VERTEX_EDGES)
+        sig = tmp_path / "sig.csv"
+        save_signals(rng.standard_normal((6, 3)), sig)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "graph": str(gpath), "signals": str(sig), "p": 2, "trials": 1, "count": 2,
+            "out_dir": str(tmp_path / "out"),
+        }))
+        assert main(["compress", "--config", str(cfgp)]) == 0
+        manifest = json.loads((tmp_path / "out" / "compress.manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            str(gpath): file_digest(gpath), str(sig): file_digest(sig)
+        }
+
     def test_detect_experiment(self, tmp_path, rng):
         x = random_metric_complex(rng, n=10, edge_prob=0.7, triangle_prob=1.0)
         gpath = tmp_path / "g.json"
@@ -385,9 +402,14 @@ class TestExperimentConfigs:
             ("compress", {"p": "abc"}, "p"),
             ("detect", {"magnitudes": ["x"]}, "magnitudes"),
             ("compress", [1, 2], None),
+            ("detect", {"p": 2.7}, "p"),
+            ("detect", {"trials": 1.9}, "trials"),
+            ("detect", {"p": True}, "p"),
+            ("compress", {"invert_similarity": "false"}, "invert_similarity"),
         ],
         ids=["detect-zero-trials", "denoise-zero-trials", "compress-p-not-integer",
-             "detect-magnitude-not-numeric", "config-not-an-object"],
+             "detect-magnitude-not-numeric", "config-not-an-object", "p-fractional",
+             "trials-fractional", "p-boolean", "invert-similarity-string"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg, key):
         rc = run_config(tmp_path, command, cfg)
@@ -400,8 +422,10 @@ class TestExperimentConfigs:
     @pytest.mark.parametrize(
         "cfg",
         [{"strategies": ["S1", "S2"]}, {"strategies": ["S3"], "s3_level": 9},
-         {"strategies": ["S3"], "s3_level": -1}],
-        ids=["S2-has-no-verdict", "s3-level-above-p", "s3-level-negative"],
+         {"strategies": ["S3"], "s3_level": -1},
+         {"magnitudes": [50, 50.0], "trials": 2}, {"strategies": ["S1", "S1"], "trials": 2}],
+        ids=["S2-has-no-verdict", "s3-level-above-p", "s3-level-negative",
+             "magnitude-repeated", "strategy-repeated"],
     )
     def test_detect_strategy_exit_2(self, tmp_path, capsys, cfg):
         assert run_config(tmp_path, "detect", cfg) == 2

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from simplexsp import (
     ComplexError,
@@ -18,7 +19,14 @@ from simplexsp import (
     two_simplex_closed_form,
 )
 
-from conftest import pendant_complex, random_metric_complex, random_positive_triple
+from conftest import (
+    LENGTHS,
+    pendant_complex,
+    random_complexes,
+    random_metric_complex,
+    random_positive_triple,
+)
+from oracles import complex_laplacian_reference
 
 
 class TestGromovProduct:
@@ -207,6 +215,13 @@ class TestComplexLaplacian:
                     continue
                 total[np.ix_(rows, rows)] += block
             np.testing.assert_allclose(lap, total, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_complexes(LENGTHS))
+    def test_matches_reference_bitwise(self, x):
+        got, want = complex_laplacian(x), complex_laplacian_reference(x)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.provenance == want.provenance
 
     def test_operator_properties_random_metric_complexes(self, rng):
         for _ in range(40):

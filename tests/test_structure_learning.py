@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexsp import (
     ComplexError,
@@ -9,6 +11,8 @@ from simplexsp import (
     bandpass,
     build_family,
     complex_laplacian,
+    enumerate_candidate_triangles,
+    family_manifest,
     filtration_bands,
     from_edge_list,
     order_within_band,
@@ -16,9 +20,10 @@ from simplexsp import (
     select_model,
     two_simplex_closed_form,
 )
-from simplexsp.structure_learning import TriangleQueue, manifest_json
+from simplexsp.structure_learning import TriangleQueue, _triple_weights, manifest_json
 
-from conftest import random_metric_complex
+from conftest import random_graphs, random_metric_complex
+from oracles import family_levels_reference
 
 
 def triangles_with_sizes(sizes):
@@ -148,6 +153,8 @@ class TestBuildFamily:
         for l in fam.laplacians[1:]:
             np.testing.assert_array_equal(l.matrix, base)
         np.testing.assert_array_equal(base, g.laplacian_matrix())
+        with pytest.raises(ComplexError):
+            fam.complex(5)
 
     def test_k3_single_level(self):
         g = from_edge_list([(1, 2), (1, 3), (2, 3)]).graph()
@@ -164,14 +171,33 @@ class TestBuildFamily:
         for _ in range(5):
             x = random_metric_complex(rng, n=14, edge_prob=0.5, triangle_prob=1.0)
             fam = build_family(x.graph(), p=4, seed=3)
-            for lvl, xi in zip(fam.laplacians, fam.complexes):
-                direct = complex_laplacian(xi).matrix
+            for i, lvl in enumerate(fam.laplacians):
+                direct = complex_laplacian(fam.complex(i)).matrix
                 assert np.abs(lvl.matrix - direct).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(), st.sampled_from(["closed", "all"]), st.integers(1, 3),
+           st.integers(1, 4), st.integers(0, 50))
+    def test_matches_reference_bitwise(self, g, mode, bands, p, seed):
+        fam = build_family(g, p=p, num_bands=bands, seed=seed, mode=mode)
+        _, wmap = _triple_weights(g, enumerate_candidate_triangles(g, mode), mode)
+        complexes, laplacians = family_levels_reference(g, fam.batches, wmap)
+        assert len(fam.laplacians) == len(laplacians)
+        levels = family_manifest(fam)["levels"]
+        for i, (x, want) in enumerate(zip(complexes, laplacians)):
+            got = fam.laplacians[i]
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.provenance == want.provenance
+            xi = fam.complex(i)
+            assert xi == x and list(xi.edges) == list(x.edges)
+            assert levels[i]["num_edges"] == len(x.edges)
+            assert levels[i]["num_triangles"] == len(x.simplices)
 
     def test_nesting(self, rng):
         x = random_metric_complex(rng, n=12, edge_prob=0.6, triangle_prob=1.0)
         fam = build_family(x.graph(), p=3, seed=5)
-        for a, b, batch in zip(fam.complexes, fam.complexes[1:], fam.batches):
+        complexes = [fam.complex(i) for i in range(fam.p + 1)]
+        for a, b, batch in zip(complexes, complexes[1:], fam.batches):
             assert a.simplices <= b.simplices
             assert len(b.simplices) - len(a.simplices) == len(batch)
 
@@ -179,8 +205,8 @@ class TestBuildFamily:
         # path 1-2-3: the missing edge (1,3) gets the through-path weight 3
         g = from_edge_list([(1, 2, 1.0), (2, 3, 2.0)]).graph()
         fam = build_family(g, p=1, mode="all")
-        assert fam.complexes[1].simplices == frozenset({(1, 2, 3)})
-        assert fam.complexes[1].edges[(1, 3)] == pytest.approx(3.0)
+        assert fam.complex(1).simplices == frozenset({(1, 2, 3)})
+        assert fam.complex(1).edges[(1, 3)] == pytest.approx(3.0)
         np.testing.assert_allclose(
             fam.laplacians[1].matrix,
             two_simplex_closed_form(1.0, 3.0, 2.0).matrix,
@@ -190,7 +216,7 @@ class TestBuildFamily:
     def test_mode_all_unreachable_discarded(self):
         g = WeightedGraph([1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})
         fam = build_family(g, p=1, mode="all")
-        assert all(not x.simplices for x in fam.complexes)
+        assert all(not fam.complex(i).simplices for i in range(fam.p + 1))
 
     def test_determinism_bit_for_bit(self, rng):
         x = random_metric_complex(rng, n=15, edge_prob=0.5, triangle_prob=1.0)
