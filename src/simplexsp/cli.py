@@ -96,10 +96,15 @@ def _number(kind=float, lo=-math.inf, hi=math.inf):
 
 
 def _many(convert):
+    """Converter of a config list whose converted values must not repeat."""
+
     def convert_all(raw) -> list:
         if not isinstance(raw, list):
             raise ValueError(f"need a list, got {raw!r}")
-        return [convert(v) for v in raw]
+        values = [convert(v) for v in raw]
+        if len(set(values)) < len(values):
+            raise ValueError(f"need distinct values, got {raw!r}")
+        return values
 
     return convert_all
 

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .complex_core import (
     ComplexError,
@@ -267,6 +266,10 @@ def sandwich_bounds(x: SimplicialComplex, unit_tol: float = 1e-9) -> SandwichBou
 
 
 def _sandwich(x, f: _Facts, unit_tol: float = 1e-9) -> SandwichBounds:
+    # imported here, not at module level, so that commands without a
+    # generalized eigenproblem do not pay for loading scipy
+    import scipy.linalg
+
     if any(abs(w - 1.0) > unit_tol for w in x.edges.values()):
         raise ComplexError("sandwich bounds require unit edge weights")
     if not f.connected:

@@ -69,11 +69,13 @@ class Spectrum:
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
+    if out.size == 0:
+        return out
+    big = np.abs(out) > SIGN_EPS
+    lead = out[big.argmax(axis=0), np.arange(out.shape[1])]
+    # a column with no entry above SIGN_EPS keeps its sign
+    flip = big.any(axis=0) & (lead < 0)
+    out[:, flip] = -out[:, flip]
     return out
 
 

@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .complex_core import (
     ComplexError,
@@ -133,28 +131,41 @@ def filtration_bands(triples, weights, num_bands: int) -> TriangleQueue:
     return TriangleQueue(entries, band_of, bands)
 
 
-def _shares_edge(t1, t2) -> bool:
-    return len(set(t1) & set(t2)) >= 2
-
-
 def order_within_band(triples, seed: int) -> list:
     """Seeded shuffle, then push edge-sharing triangles to the back.
 
     One front-to-back scan: every unprocessed triangle sharing an edge with
     the current entry moves to the end of the queue, preserving the relative
     order of the moved items.
+
+    The queue only grows: moving an entry appends its shuffled position
+    again, and the scan skips the copy left behind.  An index from edge to
+    positions finds the entries to move, so the scan costs O(T d log d) for
+    T triangles sharing edges with d others each, not O(T^2).
     """
     rng = np.random.default_rng(seed)
     q = [triples[i] for i in rng.permutation(len(triples))]
-    j = 0
-    while j < len(q):
-        head = q[j]
-        tail = q[j + 1:]
-        keep = [t for t in tail if not _shares_edge(t, head)]
-        moved = [t for t in tail if _shares_edge(t, head)]
-        q = q[: j + 1] + keep + moved
-        j += 1
-    return q
+    # frozenset keys: vertex ids need not be mutually orderable
+    edges = [{frozenset(e) for e in itertools.combinations(set(t), 2)} for t in q]
+    holders: dict = {}
+    for pos, es in enumerate(edges):
+        for e in es:
+            holders.setdefault(e, []).append(pos)
+    queue = list(range(len(q)))
+    live = list(range(len(q)))  # index in queue of each position's last copy
+    out = []
+    i = 0
+    while i < len(queue):
+        pos = queue[i]
+        if live[pos] == i:
+            out.append(q[pos])
+            # unprocessed entries are exactly those whose live copy lies ahead
+            moved = {k for e in edges[pos] for k in holders[e] if live[k] > i}
+            for k in sorted(moved, key=live.__getitem__):
+                live[k] = len(queue)
+                queue.append(k)
+        i += 1
+    return out
 
 
 def partition_queue(q: TriangleQueue, p: int) -> list:
@@ -180,6 +191,10 @@ def _triple_weights(g: WeightedGraph, triples, mode: str):
     wmap = {frozenset(k): v for k, v in g.edges.items()}
     if mode == "closed":
         return triples, wmap
+    # scipy costs every run a fraction of a second to import; only this mode needs it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     idx = g.index
     a = csr_matrix(g.adjacency_matrix())
     dist = shortest_path(a, directed=False)

@@ -308,9 +308,13 @@ def denoise_best_fractions(
     seed: int = 0,
 ) -> dict:
     """For each SNR, the share of trials in which each level recovers the
-    most labels; a tie splits the trial equally among the tied levels."""
+    most labels; a tie splits the trial equally among the tied levels.
+    SNRs must not repeat."""
     if trials < 1:
         raise ComplexError(f"need at least one trial, got {trials}")
+    if len(set(snrs)) < len(snrs):
+        # the result is keyed by SNR: a repeat would run its trials twice
+        raise ComplexError("denoise_best_fractions needs distinct SNRs")
     truth = labels.astype(int)
     best_frac = {}
     for snr in snrs:

@@ -16,6 +16,7 @@ from simplexsp.laplacian import (
     simplex_laplacian,
     star_expansion,
 )
+from simplexsp.spectral import SIGN_EPS
 
 
 def maximal_simplices_quadratic(x):
@@ -43,6 +44,43 @@ def maximal_simplices_quadratic(x):
     idx = x.index
     maximal.sort(key=lambda t: tuple(idx[v] for v in t))
     return maximal
+
+
+def _shares_edge(t1, t2) -> bool:
+    return len(set(t1) & set(t2)) >= 2
+
+
+def order_within_band_quadratic(triples, seed: int) -> list:
+    """Seeded shuffle, then push edge-sharing triangles to the back.
+
+    Reference for :func:`simplexsp.structure_learning.order_within_band`:
+    rebuilds the whole queue for every head, O(T^2) ``_shares_edge`` calls.
+    """
+    rng = np.random.default_rng(seed)
+    q = [triples[i] for i in rng.permutation(len(triples))]
+    j = 0
+    while j < len(q):
+        head = q[j]
+        tail = q[j + 1:]
+        keep = [t for t in tail if not _shares_edge(t, head)]
+        moved = [t for t in tail if _shares_edge(t, head)]
+        q = q[: j + 1] + keep + moved
+        j += 1
+    return q
+
+
+def fix_signs_loop(vecs):
+    """Make the first entry above SIGN_EPS in magnitude of each column positive.
+
+    Reference for :func:`simplexsp.spectral._fix_signs`: one column at a time.
+    """
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.nonzero(np.abs(col) > SIGN_EPS)[0]
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
 
 
 def complex_laplacian_reference(x):

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simplexsp
 from simplexsp import SimplicialComplex, complex_laplacian, from_edge_list
 from simplexsp.cli import main
 from simplexsp.io import (
@@ -406,10 +409,11 @@ class TestExperimentConfigs:
             ("detect", {"trials": 1.9}, "trials"),
             ("detect", {"p": True}, "p"),
             ("compress", {"invert_similarity": "false"}, "invert_similarity"),
+            ("denoise", {"snr_db": [1.0, 1]}, "snr_db"),
         ],
         ids=["detect-zero-trials", "denoise-zero-trials", "compress-p-not-integer",
              "detect-magnitude-not-numeric", "config-not-an-object", "p-fractional",
-             "trials-fractional", "p-boolean", "invert-similarity-string"],
+             "trials-fractional", "p-boolean", "invert-similarity-string", "snr-repeated"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg, key):
         rc = run_config(tmp_path, command, cfg)
@@ -493,3 +497,37 @@ def test_cli_fuzz_exits_0_2_or_3(run):
             command, cfg = run
             rc = run_config(tmp, command, cfg)
         assert rc in (0, 2, 3)
+
+
+def run_fresh(code):
+    """Run Python code in a new interpreter that imports this simplexsp."""
+    src = str(Path(simplexsp.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_loads_no_scipy():
+    proc = run_fresh("import simplexsp.cli, sys; print(sorted(m for m in sys.modules "
+                     "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
+    # the two commands that import scipy when they need it
+    cx = tmp_path / "complex.json"
+    cx.write_text(json.dumps({"vertices": [1, 2, 3, 4],
+                              "edges": [[1, 2, 1.0], [1, 3, 1.0], [2, 3, 1.0], [3, 4, 1.0]],
+                              "simplices": [[1, 2, 3]]}))
+    graph = tmp_path / "g.csv"
+    graph.write_text(SIX_VERTEX_EDGES)
+    runs = [["diagnose", "--complex", str(cx), "--out", str(tmp_path / "report.json")],
+            ["learn", "--graph", str(graph), "--p", "2", "--mode", "all",
+             "--out", str(tmp_path / "learned")]]
+    for argv in runs:
+        proc = run_fresh(f"import sys; from simplexsp.cli import main; sys.exit(main({argv!r}))")
+        assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["sandwich"] is not None
+    family = json.loads((tmp_path / "learned" / "family.json").read_text())
+    assert len(family["batches"][0]) + len(family["batches"][1]) == 20  # C(6, 3)

@@ -21,7 +21,10 @@ from simplexsp import (
     select_sample_vertices,
 )
 
+from simplexsp.spectral import SIGN_EPS, _fix_signs
+
 from conftest import random_metric_complex
+from oracles import fix_signs_loop
 
 
 def path_laplacian():
@@ -71,6 +74,19 @@ class TestEigendecompose:
             col = s.eigenvectors[:, j]
             nz = np.nonzero(np.abs(col) > 1e-12)[0]
             assert col[nz[0]] > 0
+
+    def test_fix_signs_matches_column_loop(self, rng):
+        assert _fix_signs(np.zeros((0, 0))).shape == (0, 0)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            # few distinct eigenvalues: tie blocks with arbitrary bases
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            vecs = np.linalg.eigh(q @ np.diag(rng.integers(0, 3, n) * 1.0) @ q.T)[1]
+            # leading entries zero, at or below SIGN_EPS, or the whole column
+            vecs[: int(rng.integers(0, n + 1)), rng.random(n) < 0.5] = 0.0
+            vecs[0, rng.random(n) < 0.2] = -SIGN_EPS
+            vecs[:, rng.random(n) < 0.1] *= 1e-13
+            assert _fix_signs(vecs).tobytes() == fix_signs_loop(vecs).tobytes()
 
     def test_deterministic_with_ties(self):
         # complete graph K4: eigenvalue 4 has multiplicity 3

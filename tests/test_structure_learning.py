@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexsp import (
@@ -22,8 +22,22 @@ from simplexsp import (
 )
 from simplexsp.structure_learning import TriangleQueue, _triple_weights, manifest_json
 
-from conftest import random_graphs, random_metric_complex
-from oracles import family_levels_reference
+from simplexsp.tasks import two_cluster_graph
+
+from conftest import VERTEX_POOL, random_graphs, random_metric_complex
+from oracles import family_levels_reference, order_within_band_quadratic
+
+
+@st.composite
+def triple_lists(draw):
+    """Triples over a few mixed int/float/str ids, so that many share an
+    edge, with some drawn again as repeats."""
+    pool = draw(st.lists(st.sampled_from(VERTEX_POOL), min_size=3, max_size=8, unique=True))
+    triple = st.lists(st.sampled_from(pool), min_size=3, max_size=3, unique=True).map(tuple)
+    triples = draw(st.lists(triple, max_size=40))
+    if triples:
+        triples += draw(st.lists(st.sampled_from(triples), max_size=5))
+    return triples
 
 
 def triangles_with_sizes(sizes):
@@ -113,6 +127,21 @@ class TestOrderWithinBand:
     def test_deterministic(self):
         triples = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (5, 6, 7)]
         assert order_within_band(triples, 3) == order_within_band(triples, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(triple_lists(), st.integers(0, 2**32 - 1))
+    @example([], 0)
+    @example([(0, 1, 2)], 5)
+    @example([(0, 1, 2), (0, 1, 2), (2, 1, 0)], 1)
+    @example([(0, "a", 2.5), ("a", 2.5, "b"), (0, 2.5, 7)], 2)
+    def test_matches_quadratic_reference(self, triples, seed):
+        assert order_within_band(triples, seed) == order_within_band_quadratic(triples, seed)
+
+    def test_matches_quadratic_reference_on_candidates(self):
+        triples = enumerate_candidate_triangles(two_cluster_graph(60, seed=1), "closed")
+        assert len(triples) > 300
+        for seed in range(3):
+            assert order_within_band(triples, seed) == order_within_band_quadratic(triples, seed)
 
 
 class TestPartitionQueue:
@@ -212,6 +241,16 @@ class TestBuildFamily:
             two_simplex_closed_form(1.0, 3.0, 2.0).matrix,
             atol=1e-14,
         )
+
+    def test_mode_all_forty_vertices(self):
+        # every one of the C(40, 3) triples is a candidate; the quadratic
+        # ordering ran for minutes on this graph
+        g = two_cluster_graph(40, seed=0)
+        kept, _ = _triple_weights(g, enumerate_candidate_triangles(g, "all"), "all")
+        assert len(kept) == 9880
+        fam = build_family(g, p=3, mode="all")
+        assert sorted(itertools.chain.from_iterable(fam.batches)) == sorted(kept)
+        assert [len(b) for b in fam.batches] == [3294, 3293, 3293]
 
     def test_mode_all_unreachable_discarded(self):
         g = WeightedGraph([1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})

@@ -375,3 +375,5 @@ class TestExperimentHarnesses:
             assert sum(fractions) == pytest.approx(1.0)
         with pytest.raises(ComplexError):
             denoise_best_fractions(fam, labels, [0.0], 0, 0.1, 0.5, 0.6, 2)
+        with pytest.raises(ComplexError):
+            denoise_best_fractions(fam, labels, [0.0, -1.0, 0.0], 1, 0.1, 0.5, 0.6, 2)
