@@ -309,7 +309,7 @@ def cmd_denoise(args):
         p=(10, _number(int)),
         trials=(50, _number(int, 1)),
         labels=(None, _text),
-        num_classes=(None, _number(int)),
+        num_classes=(None, _number(int, 1)),
         r=(0.01, _number()),
         s=(0.9, _number()),
         noise_fraction=(0.6, _number()),

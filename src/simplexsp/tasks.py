@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex_core import ComplexError, SimplicialComplex, WeightedGraph, enumerate_candidate_triangles
-from .spectral import Spectrum, gft, igft
+from .spectral import Spectrum, eigendecompose, gft
 from .structure_learning import LaplacianFamily, select_model
 
 __all__ = [
@@ -50,8 +50,7 @@ def compression_error(spectrum: Spectrum, signals: np.ndarray, r2: float) -> flo
         signals = signals[:, None]
     if signals.shape[1] == 0:
         raise ComplexError("empty signal set")
-    k = _low_band(spectrum.n, r2)
-    v = spectrum.eigenvectors[:, :k]
+    v = spectrum.lowest(_low_band(spectrum.n, r2))
     resid = signals - v @ (v.T @ signals)
     return float(np.linalg.norm(resid, axis=0).sum())
 
@@ -66,7 +65,7 @@ def generate_bandlimited_set(
     k = _low_band(spectrum.n, r)
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal((k, count))
-    sig = spectrum.eigenvectors[:, :k] @ coeff
+    sig = spectrum.lowest(k) @ coeff
     norms = np.linalg.norm(sig, axis=0)
     norms[norms == 0] = 1.0
     return sig / norms
@@ -144,6 +143,8 @@ def _high_freq_max(spectrum: Spectrum, x: np.ndarray, r: float) -> float:
     if cut >= spectrum.n:
         return 0.0
     xhat = gft(spectrum, x)
+    if xhat.shape[0] < spectrum.n:
+        raise IndexError("the high band needs a full spectrum")
     return float(np.abs(xhat[cut:]).max())
 
 
@@ -268,6 +269,18 @@ def inject_label_noise(
     return out
 
 
+def _denoise_cut(n: int, r: float, s: float, num_classes: int | None) -> int:
+    """Validate the denoising parameters; the 1-based index of the first
+    scaled coefficient, max(2, round(r n)), so the DC component is kept."""
+    if not 0 < r < 1:
+        raise ComplexError(f"r must lie in (0, 1), got {r}")
+    if not 0 <= s <= 1:
+        raise ComplexError(f"s must lie in [0, 1], got {s}")
+    if num_classes is not None and num_classes < 1:
+        raise ComplexError(f"num_classes must be >= 1, got {num_classes}")
+    return max(2, int(round(r * n)))
+
+
 def denoise_labels(
     spectrum: Spectrum,
     noisy_labels: np.ndarray,
@@ -277,19 +290,14 @@ def denoise_labels(
 ) -> np.ndarray:
     """Scale down high-frequency coefficients, invert, round and clamp.
 
-    The cut starts at 1-based index max(2, round(r n)) so the DC component
-    is never touched.
+    Coefficients from 1-based index max(2, round(r n)) on are scaled by s,
+    which is s x + (1 - s) V V^T x over the kept columns V: a partial
+    spectrum holding them is enough.
     """
-    if not 0 < r < 1:
-        raise ComplexError(f"r must lie in (0, 1), got {r}")
-    if not 0 <= s <= 1:
-        raise ComplexError(f"s must lie in [0, 1], got {s}")
+    cut = _denoise_cut(spectrum.n, r, s, num_classes)
     noisy = np.asarray(noisy_labels, dtype=float)
-    n = spectrum.n
-    cut = max(2, int(round(r * n)))  # 1-based
-    xhat = gft(spectrum, noisy)
-    xhat[cut - 1:] *= s
-    recovered = igft(spectrum, xhat)
+    v = spectrum.lowest(cut - 1)
+    recovered = s * noisy + (1 - s) * (v @ (v.T @ noisy))
     labels = np.rint(recovered).astype(int)
     if num_classes is None:
         num_classes = max(1, int(np.rint(noisy.max())))
@@ -309,12 +317,14 @@ def denoise_best_fractions(
 ) -> dict:
     """For each SNR, the share of trials in which each level recovers the
     most labels; a tie splits the trial equally among the tied levels.
-    SNRs must not repeat."""
+    SNRs must not repeat.  Each level is solved once, for its kept band."""
     if trials < 1:
         raise ComplexError(f"need at least one trial, got {trials}")
     if len(set(snrs)) < len(snrs):
         # the result is keyed by SNR: a repeat would run its trials twice
         raise ComplexError("denoise_best_fractions needs distinct SNRs")
+    cut = _denoise_cut(family.graph.n, r, s, num_classes)
+    spectra = [eigendecompose(l, upto=cut - 1) for l in family.laplacians]
     truth = labels.astype(int)
     best_frac = {}
     for snr in snrs:
@@ -322,8 +332,8 @@ def denoise_best_fractions(
         for trial in range(trials):
             noisy = inject_label_noise(labels, fraction, snr, seed + 31 * trial)
             correct = [
-                int(np.sum(denoise_labels(family.spectrum(i), noisy, r, s, num_classes) == truth))
-                for i in range(family.p + 1)
+                int(np.sum(denoise_labels(spectrum, noisy, r, s, num_classes) == truth))
+                for spectrum in spectra
             ]
             best = max(correct)
             winners = [i for i, c in enumerate(correct) if c == best]

@@ -9,14 +9,14 @@ import itertools
 
 import numpy as np
 
-from simplexsp import SimplicialComplex, maximal_simplices
+from simplexsp import ComplexError, SimplicialComplex, maximal_simplices
 from simplexsp.laplacian import (
     GeneralizedLaplacian,
     _two_simplex_matrix,
     simplex_laplacian,
     star_expansion,
 )
-from simplexsp.spectral import SIGN_EPS
+from simplexsp.spectral import SIGN_EPS, Spectrum, gft, igft
 
 
 def maximal_simplices_quadratic(x):
@@ -178,3 +178,34 @@ def family_levels_reference(g, batches, wmap):
         laplacians.append(GeneralizedLaplacian(sym, g.vertices, prov))
 
     return complexes, laplacians
+
+
+def denoise_labels_full(
+    spectrum: Spectrum,
+    noisy_labels: np.ndarray,
+    r: float,
+    s: float,
+    num_classes: int | None = None,
+) -> np.ndarray:
+    """Scale down high-frequency coefficients, invert, round and clamp.
+
+    The cut starts at 1-based index max(2, round(r n)) so the DC component
+    is never touched.
+
+    Reference for :func:`simplexsp.tasks.denoise_labels`: transforms the
+    signal over a full spectrum and back.
+    """
+    if not 0 < r < 1:
+        raise ComplexError(f"r must lie in (0, 1), got {r}")
+    if not 0 <= s <= 1:
+        raise ComplexError(f"s must lie in [0, 1], got {s}")
+    noisy = np.asarray(noisy_labels, dtype=float)
+    n = spectrum.n
+    cut = max(2, int(round(r * n)))  # 1-based
+    xhat = gft(spectrum, noisy)
+    xhat[cut - 1:] *= s
+    recovered = igft(spectrum, xhat)
+    labels = np.rint(recovered).astype(int)
+    if num_classes is None:
+        num_classes = max(1, int(np.rint(noisy.max())))
+    return np.clip(labels, 1, num_classes)

@@ -410,10 +410,12 @@ class TestExperimentConfigs:
             ("detect", {"p": True}, "p"),
             ("compress", {"invert_similarity": "false"}, "invert_similarity"),
             ("denoise", {"snr_db": [1.0, 1]}, "snr_db"),
+            ("denoise", {"num_classes": 0}, "num_classes"),
         ],
         ids=["detect-zero-trials", "denoise-zero-trials", "compress-p-not-integer",
              "detect-magnitude-not-numeric", "config-not-an-object", "p-fractional",
-             "trials-fractional", "p-boolean", "invert-similarity-string", "snr-repeated"],
+             "trials-fractional", "p-boolean", "invert-similarity-string", "snr-repeated",
+             "num-classes-zero"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg, key):
         rc = run_config(tmp_path, command, cfg)
@@ -499,6 +501,9 @@ def test_cli_fuzz_exits_0_2_or_3(run):
         assert rc in (0, 2, 3)
 
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
 def run_fresh(code):
     """Run Python code in a new interpreter that imports this simplexsp."""
     src = str(Path(simplexsp.__file__).resolve().parents[1])
@@ -514,16 +519,20 @@ def test_import_loads_no_scipy():
 
 
 def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
-    # the two commands that import scipy when they need it
+    # the three commands that import scipy when they need it
     cx = tmp_path / "complex.json"
     cx.write_text(json.dumps({"vertices": [1, 2, 3, 4],
                               "edges": [[1, 2, 1.0], [1, 3, 1.0], [2, 3, 1.0], [3, 4, 1.0]],
                               "simplices": [[1, 2, 3]]}))
     graph = tmp_path / "g.csv"
     graph.write_text(SIX_VERTEX_EDGES)
+    cfg = tmp_path / "denoise.json"
+    cfg.write_text(json.dumps({"graph": str(graph), "p": 2, "trials": 1,
+                               "out_dir": str(tmp_path / "denoised")}))
     runs = [["diagnose", "--complex", str(cx), "--out", str(tmp_path / "report.json")],
             ["learn", "--graph", str(graph), "--p", "2", "--mode", "all",
-             "--out", str(tmp_path / "learned")]]
+             "--out", str(tmp_path / "learned")],
+            ["denoise", "--config", str(cfg)]]
     for argv in runs:
         proc = run_fresh(f"import sys; from simplexsp.cli import main; sys.exit(main({argv!r}))")
         assert proc.returncode == 0, proc.stderr
@@ -531,3 +540,11 @@ def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
     assert report["sandwich"] is not None
     family = json.loads((tmp_path / "learned" / "family.json").read_text())
     assert len(family["batches"][0]) + len(family["batches"][1]) == 20  # C(6, 3)
+    rows = (tmp_path / "denoised" / "denoise.csv").read_text().splitlines()
+    assert rows[0] == "snr_db,L_X0,L_X1,L_X2" and len(rows) == 6
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs_from_fresh_interpreter(demo):
+    proc = run_fresh(f"import runpy; runpy.run_path({str(DEMOS / demo)!r}, run_name='__main__')")
+    assert proc.returncode == 0, proc.stderr

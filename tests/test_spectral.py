@@ -1,11 +1,16 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexsp import (
     FilterSpec,
     NumericalError,
+    SimplicialComplex,
     Spectrum,
     bandpass,
     commutator_norm,
@@ -21,9 +26,10 @@ from simplexsp import (
     select_sample_vertices,
 )
 
-from simplexsp.spectral import SIGN_EPS, _fix_signs
+from simplexsp import spectral
+from simplexsp.spectral import SIGN_EPS, TIE_TOL, _fix_signs
 
-from conftest import random_metric_complex
+from conftest import LENGTHS, random_complexes, random_graphs, random_metric_complex
 from oracles import fix_signs_loop
 
 
@@ -98,10 +104,172 @@ class TestEigendecompose:
         np.testing.assert_array_equal(s1.eigenvectors, s2.eigenvectors)
         assert s1.tie_blocks == ((1, 4),)
 
+    @pytest.mark.parametrize("upto", [None, 1])
+    def test_non_finite_rejected(self, upto):
+        m = np.eye(8)
+        m[3, 4] = m[4, 3] = np.nan
+        with pytest.raises(NumericalError):
+            eigendecompose(m, upto=upto)
+
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NumericalError):
             eigendecompose(m)
+
+
+@st.composite
+def complete_components(draw):
+    """Disjoint unit-weight complete graphs: K_m has eigenvalue m (m-1 times),
+    and each component adds a zero, so large tie blocks are common."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    edges, base = {}, 0
+    for m in sizes:
+        edges.update({e: 1.0 for e in itertools.combinations(range(base, base + m), 2)})
+        base += m
+    return SimplicialComplex(range(base), edges)
+
+
+LAPLACIANS = st.one_of(
+    random_graphs().map(lambda g: complex_laplacian(SimplicialComplex(g.vertices, g.edges))),
+    random_complexes(LENGTHS).map(complex_laplacian),
+    complete_components().map(complex_laplacian),
+)
+
+
+def solve_partially():
+    """Solve every slice below the order partially, however small the matrix."""
+    return mock.patch.object(spectral, "PARTIAL_MAX_FRACTION", 1.0)
+
+
+class TestPartialEigendecompose:
+    @settings(max_examples=300, deadline=None)
+    @given(LAPLACIANS, st.integers(1, 30))
+    def test_matches_full_spectrum(self, l, k):
+        full = eigendecompose(l)
+        with solve_partially():
+            part = eigendecompose(l, upto=k)
+            again = eigendecompose(l, upto=k)
+        n = full.n
+        assert part.n == n and part.vertices == full.vertices
+        if k >= n:
+            # no partial solve: the full spectrum, bit for bit
+            assert part.eigenvectors.tobytes() == full.eigenvectors.tobytes()
+            assert part.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+            assert part.tie_blocks == full.tie_blocks
+            return
+        scale = max(1.0, np.linalg.norm(l.matrix))
+        vals, vecs = part.eigenvalues, part.eigenvectors
+        assert vals.shape == (k,) and vecs.shape == (n, k)
+        np.testing.assert_allclose(vals, full.eigenvalues[:k], rtol=0, atol=1e-10 * scale)
+        assert part.tie_blocks == tuple(
+            (a, min(b, k)) for a, b in full.tie_blocks if a < k
+        )
+        in_block = np.zeros(k, dtype=bool)
+        for (a, b), (_, b_full) in zip(part.tie_blocks, full.tie_blocks):
+            in_block[a:b] = True
+            # the kept block columns lie in the span of the full block
+            span = full.eigenvectors[:, a:b_full]
+            block = vecs[:, a:b]
+            assert np.abs(block - span @ (span.T @ block)).max() < 1e-8
+        # outside tie blocks a column is determined up to a perturbation
+        # that grows as the gap to its neighbours shrinks
+        for j in np.flatnonzero(~in_block):
+            gap = np.diff(full.eigenvalues)[max(j - 1, 0):j + 1].min()
+            tol = 1e-9 + 1e-13 * scale / gap
+            assert np.abs(vecs[:, j] - full.eigenvectors[:, j]).max() <= tol
+        assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-10
+        assert np.linalg.norm(l.matrix @ vecs - vecs * vals) <= 1e-8 * scale
+        assert again.eigenvectors.tobytes() == vecs.tobytes()
+        assert again.eigenvalues.tobytes() == vals.tobytes()
+
+    def test_wide_slice_is_the_truncated_full_solve(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "eigh", None)  # must not be called
+        l = complex_laplacian(from_edge_list(list(itertools.combinations(range(10), 2))))
+        full = eigendecompose(l)
+        part = eigendecompose(l, upto=2)  # 2 is not below 15 % of 10
+        assert part.eigenvectors.tobytes() == full.eigenvectors[:, :2].tobytes()
+        assert part.eigenvalues.tobytes() == full.eigenvalues[:2].tobytes()
+        assert full.tie_blocks == ((1, 10),) and part.tie_blocks == ((1, 2),)
+
+    @solve_partially()
+    def test_block_across_the_cut_is_ordered_then_truncated(self):
+        # K5: eigenvalue 5 fills columns 1..4, and upto=2 cuts through it
+        l = complex_laplacian(from_edge_list(list(itertools.combinations(range(5), 2))))
+        part = eigendecompose(l, upto=2)
+        assert eigendecompose(l).tie_blocks == ((1, 5),)
+        assert part.tie_blocks == ((1, 2),)
+        # the kept column is the lexicographically first of its block
+        block = eigendecompose(l, upto=4).eigenvectors[:, 1:]
+        assert tuple(part.eigenvectors[:, 1]) == min(tuple(c) for c in block.T)
+
+    @solve_partially()
+    def test_slice_inside_a_cluster_falls_back_to_full_solve(self):
+        # K5 with weights 0.01 and two isolated vertices: three zeros, then
+        # 0.05 four times up to rounding; MRRR fails on the slice [0, 3],
+        # which the tie block at the cut of upto=1 widens to
+        idx = [0, 1, 3, 4, 6]
+        m = np.zeros((7, 7))
+        m[np.ix_(idx, idx)] = -0.01
+        m[idx, idx] = np.nextafter(0.04, 0.0)
+        full = eigendecompose(m)
+        for k in range(1, 7):
+            part = eigendecompose(m, upto=k)
+            np.testing.assert_allclose(part.eigenvalues, full.eigenvalues[:k], atol=1e-15)
+            assert part.tie_blocks == tuple((a, min(b, k)) for a, b in full.tie_blocks if a < k)
+            vecs = part.eigenvectors
+            assert np.linalg.norm(m @ vecs - vecs * part.eigenvalues) < 1e-15
+
+    @solve_partially()
+    def test_top_eigenvalue_solved_only_for_undecided_gaps(self, monkeypatch):
+        calls = []
+        real = scipy.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["subset_by_index"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        # gaps far above TIE_TOL ||L||_inf: no tie is possible
+        eigendecompose(path_laplacian(), upto=1)
+        assert calls == [[0, 1]]
+        # K5's ties at the cut lie below TIE_TOL max |L_ii|: ties whatever
+        # the top eigenvalue is; the slice widens to the end of the block
+        calls.clear()
+        eigendecompose(complex_laplacian(from_edge_list(itertools.combinations(range(5), 2))),
+                       upto=2)
+        assert calls == [[0, 2], [0, 4]]
+        # a gap of 1.1 TIE_TOL lambda_max: not a tie, but it lies between
+        # TIE_TOL max |L_ii| and TIE_TOL ||L||_inf, which bound it
+        calls.clear()
+        lam = np.array([1.0, 1.0 + 55 * TIE_TOL, 2.0, 3.0, 20.0, 50.0])
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
+        m = q @ np.diag(lam) @ q.T
+        m = (m + m.T) / 2
+        assert np.abs(np.diag(m)).max() < 55 < np.abs(m).sum(axis=1).max()
+        part = eigendecompose(m, upto=1)
+        assert calls == [[0, 1], [5, 5]]
+        assert part.tie_blocks == () == eigendecompose(m).tie_blocks
+
+    def test_upto_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            eigendecompose(path_laplacian(), upto=0)
+
+    @solve_partially()
+    def test_transforms_bounded_by_held_columns(self, rng):
+        l = random_laplacian(rng)
+        s = eigendecompose(l, upto=3)
+        assert s.n == l.matrix.shape[0] > 3
+        np.testing.assert_array_equal(s.band_columns([1, 3]), [0, 2])
+        with pytest.raises(IndexError):
+            s.band_columns([4])
+        with pytest.raises(IndexError):
+            bandpass(s, [1, 4], np.ones(s.n))
+        assert gft(s, np.ones(s.n)).shape == (3,)
+        with pytest.raises(ValueError):
+            gft(s, np.ones(3))  # the signal needs one entry per vertex
+        assert igft(s, np.ones(3)).shape == (s.n,)
+        with pytest.raises(ValueError):
+            igft(s, np.ones(s.n))
 
 
 class TestGftIgft:

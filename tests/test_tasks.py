@@ -26,6 +26,7 @@ from simplexsp import (
 )
 
 from conftest import random_metric_complex
+from oracles import denoise_labels_full
 
 
 def trivial_spectrum(n):
@@ -292,6 +293,60 @@ class TestDenoiseLabels:
             denoise_labels(s, np.ones(8), r=0.0, s=0.9)
         with pytest.raises(ComplexError):
             denoise_labels(s, np.ones(8), r=0.5, s=1.5)
+        for bad in (0, -1):
+            with pytest.raises(ComplexError):
+                denoise_labels(s, np.ones(8), r=0.5, s=0.9, num_classes=bad)
+
+    @pytest.mark.parametrize("seed", [13, 2, 5])
+    @pytest.mark.parametrize("r", [0.01, 0.1, 0.3])
+    def test_kept_band_matches_full_spectrum_oracle(self, seed, r):
+        # seed 13, r 0.01 is acceptance 13's setting
+        g = two_cluster_graph(100, seed=seed)
+        fam = build_family(g, p=10, seed=seed)
+        labels = np.array([1.0] * 50 + [2.0] * 50)
+        cut = max(2, round(r * 100))
+        for i in range(fam.p + 1):
+            kept = eigendecompose(fam.laplacians[i], upto=cut - 1)
+            for trial in range(10):
+                noisy = inject_label_noise(labels, 0.6, 0.0, seed=seed + 31 * trial)
+                expected = denoise_labels_full(fam.spectrum(i), noisy, r, 0.9, 2)
+                np.testing.assert_array_equal(denoise_labels(kept, noisy, r, 0.9, 2), expected)
+                np.testing.assert_array_equal(
+                    denoise_labels(fam.spectrum(i), noisy, r, 0.9, 2), expected
+                )
+
+    def test_too_few_columns_rejected(self):
+        g = two_cluster_graph(100, seed=13)
+        kept = eigendecompose(complex_laplacian(SimplicialComplex(g.vertices, g.edges)), upto=4)
+        denoise_labels(kept, np.ones(100), 0.05, 0.9, 2)  # cut 5: columns 1..4
+        with pytest.raises(IndexError):
+            denoise_labels(kept, np.ones(100), 0.06, 0.9, 2)
+
+
+class TestPartialSpectrum:
+    """A spectrum from eigendecompose(..., upto=k) serves the low-band tasks
+    up to its width and raises past it."""
+
+    def _spectra(self):
+        g = two_cluster_graph(40, seed=1)
+        l = complex_laplacian(SimplicialComplex(g.vertices, g.edges))
+        return eigendecompose(l, upto=3), eigendecompose(l)
+
+    def test_low_band_within_width(self, rng):
+        part, full = self._spectra()
+        sig = rng.standard_normal((40, 4))
+        assert compression_error(part, sig, 0.05) == pytest.approx(compression_error(full, sig, 0.05))
+        assert generate_bandlimited_set(part, 0.05, 3, seed=1).shape == (40, 3)
+
+    def test_past_width_raises(self, rng):
+        part, _ = self._spectra()
+        sig = rng.standard_normal((40, 4))
+        with pytest.raises(IndexError):
+            compression_error(part, sig, 0.1)  # 4 columns
+        with pytest.raises(IndexError):
+            generate_bandlimited_set(part, 0.1, 3)
+        with pytest.raises(IndexError):
+            detect_anomaly(part, [sig[:, 0]], sig[:, 1], 0.05, 0.05)  # needs the high band
 
 
 class TestGenerators:
@@ -377,3 +432,38 @@ class TestExperimentHarnesses:
             denoise_best_fractions(fam, labels, [0.0], 0, 0.1, 0.5, 0.6, 2)
         with pytest.raises(ComplexError):
             denoise_best_fractions(fam, labels, [0.0, -1.0, 0.0], 1, 0.1, 0.5, 0.6, 2)
+
+    def test_denoise_best_fractions_match_oracle_loop(self):
+        g = two_cluster_graph(100, seed=13)
+        fam = build_family(g, p=10, seed=13)
+        labels = np.array([1.0] * 50 + [2.0] * 50)
+        truth = labels.astype(int)
+        snrs, trials = [2.0, 0.0, -2.0], 6
+        expected = {}
+        for snr in snrs:
+            counts = np.zeros(fam.p + 1)
+            for trial in range(trials):
+                noisy = inject_label_noise(labels, 0.6, snr, 13 + 31 * trial)
+                correct = [
+                    int(np.sum(denoise_labels_full(fam.spectrum(i), noisy, 0.01, 0.9, 2) == truth))
+                    for i in range(fam.p + 1)
+                ]
+                winners = [i for i, c in enumerate(correct) if c == max(correct)]
+                for i in winners:
+                    counts[i] += 1.0 / len(winners)
+            expected[snr] = (counts / trials).tolist()
+        got = denoise_best_fractions(fam, labels, snrs, trials, 0.01, 0.9, 0.6, 2, seed=13)
+        assert got == expected
+
+    def test_denoise_best_fractions_validate_before_solving(self, monkeypatch):
+        g = two_cluster_graph(20, seed=3)
+        fam = build_family(g, p=2, seed=3)
+        labels = np.array([1.0] * 10 + [2.0] * 10)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before validating")
+
+        monkeypatch.setattr("simplexsp.tasks.eigendecompose", no_solve)
+        for r, s, classes in ((0.0, 0.5, 2), (1.0, 0.5, 2), (0.1, 1.5, 2), (0.1, 0.5, 0)):
+            with pytest.raises(ComplexError):
+                denoise_best_fractions(fam, labels, [0.0], 1, r, s, 0.6, classes)
