@@ -231,10 +231,9 @@ def cmd_learn(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [_write_json(out_dir / "family.json", family_manifest(family), indent=1)]
-    for i, l in enumerate(family.laplacians):
-        p = out_dir / f"laplacian_{i:02d}.csv"
-        save_matrix_csv(l.matrix, p)
-        outputs.append(p)
+    for i in range(family.p + 1):
+        outputs.append(out_dir / f"laplacian_{i:02d}.csv")
+        save_matrix_csv(family.laplacian(i).matrix, outputs[-1])
     inputs = [args.graph]
     if args.signals:
         _, signals = load_signals(args.signals)
@@ -345,9 +344,8 @@ def cmd_fit_filter(args):
     if signals.shape[1] < 2:
         raise ParseError("fit-filter needs two signal columns (input, target)")
     family = build_family(g, p=args.p, num_bands=args.bands, seed=args.seed)
-    fit = fit_continuous_filter(
-        family, signals[:, 0], signals[:, 1], args.degree, args.t_grid
-    )
+    levels = [family.laplacian(i) for i in range(family.p + 1)]
+    fit = fit_continuous_filter(levels, signals[:, 0], signals[:, 1], args.degree, args.t_grid)
     result = {"level": fit.level, "t": fit.t, "coeffs": fit.coeffs.tolist(), "residual": fit.residual}
     out = _write_json(Path(args.out), result)
     config = {"degree": args.degree, "p": args.p, "t_grid": args.t_grid}

@@ -217,7 +217,6 @@ def complex_laplacian(x: SimplicialComplex) -> GeneralizedLaplacian:
             weights = [x.edges[e] for e in itertools.combinations(s, 2)]
             add_simplex_block(lap, [idx[v] for v in s], weights)
             provenance.append(s)
-    lap = (lap + lap.T) / 2.0
     return GeneralizedLaplacian(lap, x.vertices, tuple(provenance))
 
 

@@ -45,9 +45,10 @@ class NumericalError(RuntimeError):
 
 
 def _as_matrix(l) -> np.ndarray:
-    if isinstance(l, GeneralizedLaplacian):
-        return l.matrix
-    return np.asarray(l, dtype=float)
+    m = l.matrix if isinstance(l, GeneralizedLaplacian) else np.asarray(l, dtype=float)
+    if not np.isfinite(m).all():
+        raise NumericalError("matrix has non-finite entries")
+    return m
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,6 @@ def eigendecompose(l, sym_tol: float = 1e-8, upto: int | None = None) -> Spectru
         raise NumericalError(f"expected a square matrix, got shape {m.shape}")
     if upto is not None and upto < 1:
         raise ValueError(f"upto must be >= 1, got {upto}")
-    if not np.isfinite(m).all():
-        raise NumericalError("matrix has non-finite entries")
     scale = max(1.0, float(np.linalg.norm(m)))
     if np.linalg.norm(m - m.T) > sym_tol * scale:
         raise NumericalError("matrix is not symmetric within tolerance")
@@ -201,6 +200,7 @@ def bandpass(s: Spectrum, b: Iterable[int], x: np.ndarray) -> np.ndarray:
 
 def convolve(s: Spectrum, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Spectral-domain pointwise product of kernel and signal coefficients."""
+    s.lowest(s.n)  # raises on a partial spectrum
     return igft(s, gft(s, z) * gft(s, x))
 
 
@@ -334,9 +334,10 @@ def _fit_single(m: np.ndarray, x1: np.ndarray, x2: np.ndarray, b: int, ridge: fl
 
 
 def fit_continuous_filter(
-    family, x1: np.ndarray, x2: np.ndarray, b: int, t_grid: int = 21, ridge: float = 1e-10
+    levels, x1: np.ndarray, x2: np.ndarray, b: int, t_grid: int = 21, ridge: float = 1e-10
 ) -> FilterFit:
-    """Grid search over interpolated Laplacians L = t L_i + (1-t) L_{i+1}.
+    """Grid search over interpolated Laplacians L = t L_i + (1-t) L_{i+1} of
+    the sequence ``levels`` (matrices or GeneralizedLaplacians).
 
     The inner polynomial-coefficient problem is linear and solved exactly
     (ridge-regularized normal equations); degree runs from 1 to b.
@@ -345,7 +346,7 @@ def fit_continuous_filter(
         raise ValueError(f"degree bound must be >= 1, got {b}")
     if t_grid < 2:
         raise ValueError(f"t_grid must have >= 2 points, got {t_grid}")
-    mats = [_as_matrix(m) for m in getattr(family, "matrices", family)]
+    mats = [_as_matrix(m) for m in levels]
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if len(mats) < 2:

@@ -50,13 +50,17 @@ class TriangleQueue:
 class LaplacianFamily:
     """Nested complexes X_0 c ... c X_p with their generalized Laplacians.
 
-    X_i is the graph plus the triangles of ``batches[:i]``; ``weights`` maps
-    each vertex pair (a frozenset) to its length, mode 'all' fills included.
+    X_i is the graph plus the triangles of ``batches[:i]``.  ``base`` is L_0;
+    ``updates`` holds per batch (rows, cols, values, fills): the Laplacian
+    entries the batch touched with their values after it, and the vertex
+    pairs it added with their lengths, in order of first use.  ``rank`` numbers
+    the triangles in the vertex order, the order provenance lists them in.
     """
 
     graph: WeightedGraph
-    weights: dict
-    laplacians: list
+    base: np.ndarray
+    updates: list
+    rank: dict
     batches: list
     queue: TriangleQueue
     seed: int = 0
@@ -64,36 +68,33 @@ class LaplacianFamily:
 
     @property
     def p(self) -> int:
-        return len(self.laplacians) - 1
+        return len(self.batches)
 
-    @property
-    def matrices(self) -> list:
-        return [l.matrix for l in self.laplacians]
+    def _check(self, i: int) -> None:
+        if not 0 <= i <= self.p:
+            raise ComplexError(f"level must lie in 0..{self.p}, got {i}")
 
-    def spectrum(self, i: int) -> Spectrum:
-        if i not in self._spectra:
-            self._spectra[i] = eigendecompose(self.laplacians[i])
-        return self._spectra[i]
-
-    def _levels(self):
-        """(edges, triangles) of X_0, ..., X_p in turn, grown in place; the
-        pairs triangles add follow the graph's edges in order of first use."""
-        edges = dict(self.graph.edges)
-        triangles: list = []
-        yield edges, triangles
-        for batch in self.batches:
-            for t in batch:
-                for e in itertools.combinations(t, 2):
-                    edges.setdefault(e, self.weights[frozenset(e)])
-            triangles.extend(batch)
-            yield edges, triangles
+    def laplacian(self, i: int) -> GeneralizedLaplacian:
+        """The Laplacian of X_i, a fresh matrix on every call."""
+        self._check(i)
+        m = self.base.copy()
+        for rows, cols, values, _ in self.updates[:i]:
+            m[rows, cols] = values
+        triangles = sorted(itertools.chain(*self.batches[:i]), key=self.rank.__getitem__)
+        return GeneralizedLaplacian(m, self.graph.vertices, tuple(triangles))
 
     def complex(self, i: int) -> SimplicialComplex:
         """The complex X_i, built on demand."""
-        if not 0 <= i <= self.p:
-            raise ComplexError(f"level must lie in 0..{self.p}, got {i}")
-        edges, triangles = next(itertools.islice(self._levels(), i, None))
-        return SimplicialComplex(self.graph.vertices, edges, triangles)
+        self._check(i)
+        edges = dict(self.graph.edges)
+        for *_, fills in self.updates[:i]:
+            edges.update(fills)
+        return SimplicialComplex(self.graph.vertices, edges, itertools.chain(*self.batches[:i]))
+
+    def spectrum(self, i: int) -> Spectrum:
+        if i not in self._spectra:
+            self._spectra[i] = eigendecompose(self.laplacian(i))
+        return self._spectra[i]
 
 
 def _triangle_size(t, weights) -> float:
@@ -223,9 +224,9 @@ def build_family(
 ) -> LaplacianFamily:
     """Run the full pipeline: enumerate, band, order, partition, assemble.
 
-    Laplacians are updated incrementally: each added triangle retires the
+    One Laplacian is updated incrementally: each added triangle retires the
     edge blocks of graph edges it is the first to cover, then adds its
-    closed-form block.
+    closed-form block; the family records what each batch changed.
     """
     triples = enumerate_candidate_triangles(g, mode)
     triples, wmap = _triple_weights(g, triples, mode)
@@ -239,29 +240,32 @@ def build_family(
     batches = partition_queue(queue, p)
 
     idx = g.index
-    lap = g.laplacian_matrix()
-    laplacians = [GeneralizedLaplacian((lap + lap.T) / 2.0, g.vertices, ())]
-    # graph edges no triangle covers yet, as rows in the vertex order
-    bare = {(idx[u], idx[v]) for u, v in g.edges}
-    triangles: list = []
+    base = g.laplacian_matrix()
+    lap = base.copy()
+    rank = {t: k for k, t in enumerate(sorted(queue.entries, key=lambda t: [idx[v] for v in t]))}
+    # rows of the vertex pairs so far; False for a graph edge no triangle covers
+    covered = {(idx[u], idx[v]): False for u, v in g.edges}
+    updates = []
 
     for batch in batches:
-        lap = lap.copy()
+        fills, cells = [], set()
         for t in batch:
             rows = [idx[v] for v in t]
+            cells.update(itertools.product(rows, rows))
             weights = [wmap[frozenset(e)] for e in itertools.combinations(t, 2)]
-            for pair, w in zip(itertools.combinations(rows, 2), weights):
-                if pair in bare:
+            for e, pair, w in zip(itertools.combinations(t, 2),
+                                  itertools.combinations(rows, 2), weights):
+                if pair not in covered:
+                    fills.append((e, w))
+                elif not covered[pair]:
                     # the edge stops being a maximal simplex: retire its block
-                    bare.remove(pair)
                     add_simplex_block(lap, pair, [w], -1.0)
+                covered[pair] = True
             add_simplex_block(lap, rows, weights)
-        triangles.extend(batch)
-        triangles.sort(key=lambda t: tuple(idx[v] for v in t))
-        sym = (lap + lap.T) / 2.0
-        laplacians.append(GeneralizedLaplacian(sym, g.vertices, tuple(triangles)))
+        rows, cols = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+        updates.append((rows, cols, lap[rows, cols], fills))
 
-    return LaplacianFamily(g, wmap, laplacians, batches, queue, seed)
+    return LaplacianFamily(g, base, updates, rank, batches, queue, seed)
 
 
 def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
@@ -293,16 +297,14 @@ def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
 
 def family_manifest(family: LaplacianFamily) -> dict:
     """JSON-ready summary of a learned family (deterministic field order)."""
-    levels = []
-    for (edges, triangles), l in zip(family._levels(), family.laplacians):
-        digest = hashlib.sha256(np.ascontiguousarray(l.matrix).tobytes()).hexdigest()
-        levels.append(
-            {
-                "num_edges": len(edges),
-                "num_triangles": len(triangles),
-                "laplacian_sha256": digest,
-            }
-        )
+    added = [len(fills) for *_, fills in family.updates]
+    edges = itertools.accumulate(added, initial=len(family.graph.edges))
+    triangles = itertools.accumulate(map(len, family.batches), initial=0)
+    levels = [
+        {"num_edges": e, "num_triangles": t,
+         "laplacian_sha256": hashlib.sha256(family.laplacian(i).matrix.tobytes()).hexdigest()}
+        for i, e, t in zip(range(family.p + 1), edges, triangles)
+    ]
     return {
         "n": family.graph.n,
         "p": family.p,

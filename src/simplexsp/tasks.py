@@ -324,7 +324,7 @@ def denoise_best_fractions(
         # the result is keyed by SNR: a repeat would run its trials twice
         raise ComplexError("denoise_best_fractions needs distinct SNRs")
     cut = _denoise_cut(family.graph.n, r, s, num_classes)
-    spectra = [eigendecompose(l, upto=cut - 1) for l in family.laplacians]
+    spectra = [eigendecompose(family.laplacian(i), upto=cut - 1) for i in range(family.p + 1)]
     truth = labels.astype(int)
     best_frac = {}
     for snr in snrs:

@@ -328,8 +328,8 @@ def test_criterion_14_filter_fit_recovery():
         g = x.graph()
         family = build_family(g, p=3, seed=0)
         x1 = rng.standard_normal(g.n)
-        x2 = family.matrices[0] @ x1
-        fit = fit_continuous_filter(family, x1, x2, 3)
+        x2 = family.laplacian(0).matrix @ x1
+        fit = fit_continuous_filter([family.laplacian(i) for i in range(family.p + 1)], x1, x2, 3)
         worst_residual = max(worst_residual, fit.residual)
         target = np.zeros(3)
         target[0] = 1.0

@@ -348,6 +348,21 @@ class TestCli:
         rc = main(["spectrum", "--laplacian", str(p), "--out", str(tmp_path / "s.json")])
         assert rc == 3
 
+    @pytest.mark.parametrize("option", [None, ("--band", "1:2"), ("--poly", "0.5")],
+                             ids=["spectrum", "filter-band", "filter-poly"])
+    def test_non_finite_matrix_exit_3(self, tmp_path, option):
+        lap = tmp_path / "m.csv"
+        save_matrix_csv(np.array([[1.0, np.nan], [np.nan, 1.0]]), lap)
+        if option is None:
+            argv = ["spectrum", "--laplacian", str(lap), "--out", str(tmp_path / "s.json")]
+        else:
+            sig = tmp_path / "sig.csv"
+            save_signals(np.ones((2, 1)), sig)
+            argv = ["filter", "--laplacian", str(lap), "--signals", str(sig), *option,
+                    "--out", str(tmp_path / "f.csv")]
+        assert main(argv) == 3
+        assert not (tmp_path / "f.csv").exists()
+
     @pytest.mark.parametrize(
         "command, option",
         [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from simplexsp import (
     FilterSpec,
+    GeneralizedLaplacian,
     NumericalError,
     SimplicialComplex,
     Spectrum,
@@ -28,6 +29,7 @@ from simplexsp import (
 
 from simplexsp import spectral
 from simplexsp.spectral import SIGN_EPS, TIE_TOL, _fix_signs
+from simplexsp.tasks import two_cluster_graph
 
 from conftest import LENGTHS, random_complexes, random_graphs, random_metric_complex
 from oracles import fix_signs_loop
@@ -115,6 +117,18 @@ class TestEigendecompose:
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NumericalError):
             eigendecompose(m)
+
+    @pytest.mark.parametrize("reader", [
+        lambda m: poly_filter(m, [0.5], np.ones(8)),
+        lambda m: commutator_norm(m, np.eye(8)),
+        lambda m: commutator_norm(np.eye(8), GeneralizedLaplacian(m)),
+        lambda m: fit_continuous_filter([np.eye(8), m], np.ones(8), np.ones(8), b=1),
+    ], ids=["poly_filter", "commutator_norm", "commutator_norm-wrapped", "fit_continuous_filter"])
+    def test_non_finite_rejected_by_every_matrix_reader(self, reader):
+        m = np.eye(8)
+        m[3, 4] = m[4, 3] = np.nan
+        with pytest.raises(NumericalError):
+            reader(m)
 
 
 @st.composite
@@ -376,6 +390,17 @@ class TestConvolve:
             convolve(s, z, x) + 2 * convolve(s, w, x),
             atol=1e-10,
         )
+
+
+    def test_partial_spectrum_rejected(self):
+        # a partial spectrum would give only the low-band part of the product
+        l = two_cluster_graph(40, seed=1).laplacian_matrix()
+        s = eigendecompose(l, upto=3)
+        x = np.arange(1.0, s.n + 1)
+        with pytest.raises(IndexError):
+            convolve(s, x, x)
+        with pytest.raises(IndexError):
+            FilterSpec(kernel=x).apply(l, s, x)
 
 
 class TestSampling:

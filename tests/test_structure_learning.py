@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,9 +179,9 @@ class TestBuildFamily:
         g = from_edge_list([(1, 2), (2, 3), (3, 4)]).graph()
         fam = build_family(g, p=4, seed=1)
         assert fam.p == 4
-        base = fam.laplacians[0].matrix
-        for l in fam.laplacians[1:]:
-            np.testing.assert_array_equal(l.matrix, base)
+        base = fam.laplacian(0).matrix
+        for i in range(1, fam.p + 1):
+            np.testing.assert_array_equal(fam.laplacian(i).matrix, base)
         np.testing.assert_array_equal(base, g.laplacian_matrix())
         with pytest.raises(ComplexError):
             fam.complex(5)
@@ -189,38 +190,66 @@ class TestBuildFamily:
         g = from_edge_list([(1, 2), (1, 3), (2, 3)]).graph()
         fam = build_family(g, p=1, seed=0)
         np.testing.assert_allclose(
-            fam.laplacians[1].matrix,
+            fam.laplacian(1).matrix,
             two_simplex_closed_form(1, 1, 1).matrix,
             atol=1e-15,
         )
-        np.testing.assert_array_equal(fam.laplacians[0].matrix, g.laplacian_matrix())
+        np.testing.assert_array_equal(fam.laplacian(0).matrix, g.laplacian_matrix())
 
     def test_incremental_matches_direct_assembly(self, rng):
         # oracle: rebuild each level's Laplacian from scratch
         for _ in range(5):
             x = random_metric_complex(rng, n=14, edge_prob=0.5, triangle_prob=1.0)
             fam = build_family(x.graph(), p=4, seed=3)
-            for i, lvl in enumerate(fam.laplacians):
+            for i in range(fam.p + 1):
                 direct = complex_laplacian(fam.complex(i)).matrix
-                assert np.abs(lvl.matrix - direct).max() < 1e-12
+                assert np.abs(fam.laplacian(i).matrix - direct).max() < 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(random_graphs(), st.sampled_from(["closed", "all"]), st.integers(1, 3),
-           st.integers(1, 4), st.integers(0, 50))
-    def test_matches_reference_bitwise(self, g, mode, bands, p, seed):
+           st.integers(1, 4), st.integers(0, 50), st.data())
+    def test_matches_reference_bitwise(self, g, mode, bands, p, seed, data):
         fam = build_family(g, p=p, num_bands=bands, seed=seed, mode=mode)
         _, wmap = _triple_weights(g, enumerate_candidate_triangles(g, mode), mode)
         complexes, laplacians = family_levels_reference(g, fam.batches, wmap)
-        assert len(fam.laplacians) == len(laplacians)
+        assert fam.p + 1 == len(laplacians)
         levels = family_manifest(fam)["levels"]
-        for i, (x, want) in enumerate(zip(complexes, laplacians)):
-            got = fam.laplacians[i]
+        # levels are rebuilt on every read: a descending run over all of
+        # them, then a drawn order with repeats
+        order = list(range(fam.p, -1, -1))
+        order += data.draw(st.lists(st.integers(0, fam.p), max_size=3 * (fam.p + 1)))
+        for i in order:
+            x, want = complexes[i], laplacians[i]
+            got = fam.laplacian(i)
             assert got.matrix.tobytes() == want.matrix.tobytes()
             assert got.provenance == want.provenance
             xi = fam.complex(i)
             assert xi == x and list(xi.edges) == list(x.edges)
             assert levels[i]["num_edges"] == len(x.edges)
             assert levels[i]["num_triangles"] == len(x.simplices)
+
+    @pytest.mark.parametrize("reader", ["laplacian", "complex", "spectrum"])
+    def test_level_out_of_range(self, reader):
+        fam = build_family(from_edge_list([(1, 2), (1, 3), (2, 3)]).graph(), p=2)
+        for i in (-1, fam.p + 1):
+            with pytest.raises(ComplexError):
+                getattr(fam, reader)(i)
+        assert not fam._spectra
+
+    def test_held_memory_does_not_grow_with_p(self):
+        # a family keeps L_0 and what each batch changed, not a matrix per level
+        g = two_cluster_graph(300, p_in=0.03, p_out=0.002, seed=0)
+        build_family(g, p=1)  # the graph caches its adjacency matrix on first use
+        held = {}
+        for p in (1, 10):
+            tracemalloc.start()
+            fam = build_family(g, p=p)
+            held[p] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            del fam
+        n2 = 8 * g.n**2  # bytes of one dense level
+        assert held[1] < 2 * n2
+        assert held[10] < held[1] + 0.25 * n2
 
     def test_nesting(self, rng):
         x = random_metric_complex(rng, n=12, edge_prob=0.6, triangle_prob=1.0)
@@ -237,7 +266,7 @@ class TestBuildFamily:
         assert fam.complex(1).simplices == frozenset({(1, 2, 3)})
         assert fam.complex(1).edges[(1, 3)] == pytest.approx(3.0)
         np.testing.assert_allclose(
-            fam.laplacians[1].matrix,
+            fam.laplacian(1).matrix,
             two_simplex_closed_form(1.0, 3.0, 2.0).matrix,
             atol=1e-14,
         )
@@ -262,8 +291,8 @@ class TestBuildFamily:
         f1 = build_family(x.graph(), p=5, num_bands=3, seed=11)
         f2 = build_family(x.graph(), p=5, num_bands=3, seed=11)
         assert manifest_json(f1) == manifest_json(f2)
-        for a, b in zip(f1.laplacians, f2.laplacians):
-            assert a.matrix.tobytes() == b.matrix.tobytes()
+        for i in range(f1.p + 1):
+            assert f1.laplacian(i).matrix.tobytes() == f2.laplacian(i).matrix.tobytes()
 
     def test_seed_changes_order(self, rng):
         x = random_metric_complex(rng, n=15, edge_prob=0.6, triangle_prob=1.0)
@@ -277,7 +306,7 @@ class TestBuildFamily:
             {(1, 2): 1, (1, 3): 1, (2, 3): 1, (4, 5): 1, (4, 6): 1, (5, 6): 1},
         )
         fam = build_family(g, p=1)
-        vals = np.linalg.eigvalsh(fam.laplacians[1].matrix)
+        vals = np.linalg.eigvalsh(fam.laplacian(1).matrix)
         assert int(np.sum(vals < 1e-10)) == 2
 
 

@@ -306,7 +306,7 @@ class TestDenoiseLabels:
         labels = np.array([1.0] * 50 + [2.0] * 50)
         cut = max(2, round(r * 100))
         for i in range(fam.p + 1):
-            kept = eigendecompose(fam.laplacians[i], upto=cut - 1)
+            kept = eigendecompose(fam.laplacian(i), upto=cut - 1)
             for trial in range(10):
                 noisy = inject_label_noise(labels, 0.6, 0.0, seed=seed + 31 * trial)
                 expected = denoise_labels_full(fam.spectrum(i), noisy, r, 0.9, 2)
