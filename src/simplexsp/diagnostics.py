@@ -8,23 +8,17 @@ non-shift-invariance certificate cross-checked by the numerical commutator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .complex_core import (
-    ComplexError,
-    SimplicialComplex,
-    WeightedGraph,
-    connected_components,
-)
+from .complex_core import ComplexError, SimplicialComplex, WeightedGraph
 from .laplacian import (
     GeneralizedLaplacian,
+    _shape_constants,
     complex_laplacian,
     is_graph_type,
-    shape_constant,
     two_simplex_closed_form,
 )
 from .spectral import commutator_norm
@@ -42,30 +36,61 @@ __all__ = [
 ]
 
 
-def _require_two_complex(x: SimplicialComplex) -> None:
+class _Incidence(NamedTuple):
+    """Triangle-edge incidence of a 2-complex, in rows of the vertex order."""
+
+    tri_weights: np.ndarray  # (T, 3) lengths of v1v2, v1v3, v2v3, in x.triangles() order
+    edges: np.ndarray  # (E, 2) graph edge rows, lower row first
+    on_edge: np.ndarray  # (E,) triangles on each graph edge
+    tri_edges: np.ndarray  # (K, 2) rows of the triangle edges, in first-use order
+    in_tri: np.ndarray  # (n,) vertex lies on a triangle
+    nbrs_on_tri: np.ndarray  # (n,) neighbors lying on a triangle
+
+
+def _incidence(x: SimplicialComplex) -> _Incidence:
     if any(len(s) > 3 for s in x.simplices):
         raise ComplexError("diagnostics are specific to complexes of dimension <= 2")
+    n, idx = x.n, x.index
+    tri = np.array([[idx[v] for v in s] for s in x.simplices], dtype=np.intp).reshape(-1, 3)
+    tri = tri[np.lexsort(tri.T[::-1])]
+    edges = np.array([(idx[u], idx[v]) for u, v in x.edges], dtype=np.intp).reshape(-1, 2)
+    codes = edges[:, 0] * n + edges[:, 1]
+    order = np.argsort(codes)
+    # the graph edge under each triangle pair; face closure puts all of them in the graph
+    on = order[np.searchsorted(codes[order], tri[:, [0, 0, 1]] * n + tri[:, [1, 2, 2]])]
+    first = np.sort(np.unique(on, return_index=True)[1])
+    in_tri = np.zeros(n, dtype=bool)
+    in_tri[tri] = True
+    a, b = edges.T
+    weights = np.fromiter(x.edges.values(), dtype=float, count=len(x.edges))
+    return _Incidence(
+        weights[on],
+        edges,
+        np.bincount(on.ravel(), minlength=len(edges)),
+        edges[on.ravel()[first]],
+        in_tri,
+        np.bincount(np.concatenate([a[in_tri[b]], b[in_tri[a]]]), minlength=n),
+    )
 
 
-def _triangle_membership(x: SimplicialComplex):
-    """Per-vertex and per-edge triangle incidence."""
-    tri_vertices: set = set()
-    edge_count: dict = {}
-    for t in x.triangles():
-        tri_vertices.update(t)
-        for u, v in itertools.combinations(t, 2):
-            edge_count[frozenset((u, v))] = edge_count.get(frozenset((u, v)), 0) + 1
-    return tri_vertices, edge_count
+def _components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Per vertex, the lowest row connected to it over ``edges``."""
+    labels = np.arange(n)
+    a, b = edges.T
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, a, labels[b])
+        np.minimum.at(low, b, labels[a])
+        low = low[low]  # every label is a row of the same component
+        if (low == labels).all():
+            return labels
+        labels = low
 
 
-def _edge_triangle_stats(x: SimplicialComplex, edge_count: dict):
-    counts = [edge_count.get(frozenset(e), 0) for e in x.edges]
-    if not counts:
+def _edge_triangle_stats(inc: _Incidence):
+    if not len(inc.on_edge):
         return 0, 0
-    k_min = min(counts)
-    in_tri = [c for c in counts if c > 0]
-    k_max = max(in_tri) if in_tri else 0
-    return k_min, k_max
+    return int(inc.on_edge.min()), int(inc.on_edge.max())
 
 
 def interior_counts(x: SimplicialComplex):
@@ -77,40 +102,27 @@ def interior_counts(x: SimplicialComplex):
     of a 2-simplex with a 1-interior neighbor whose other neighbors all
     avoid 2-simplices.
     """
-    _require_two_complex(x)
-    return _interior_counts(x, *_triangle_membership(x))
+    return _interior_counts(x.n, _incidence(x))
 
 
-def _interior_counts(x: SimplicialComplex, tri_vertices: set, edge_count: dict):
-    adj = x.graph().adjacency_sets()
-
-    m1 = sum(1 for v in x.vertices if v not in tri_vertices)
+def _interior_counts(n: int, inc: _Incidence):
+    in_tri = inc.in_tri
+    m1 = int(np.count_nonzero(~in_tri))
 
     # subcomplex spanned by the triangles
-    if tri_vertices:
-        tri_edges = {tuple(sorted(e, key=x.index.__getitem__)): 1.0 for e in edge_count}
-        sub = WeightedGraph(sorted(tri_vertices, key=x.index.__getitem__), tri_edges)
-        comps = connected_components(sub)
-    else:
-        comps = []
-    m2 = len(comps)
+    tri_edges = inc.edges[inc.on_edge > 0]
+    labels = _components(n, tri_edges)
+    m2 = np.unique(labels[in_tri]).size
 
-    def two_interior(v) -> bool:
-        return all(frozenset((v, w)) in edge_count for w in adj[v])
+    degree = np.bincount(inc.edges.ravel(), minlength=n)
+    two_interior = in_tri & (degree == np.bincount(tri_edges.ravel(), minlength=n))
+    m3 = np.unique(labels[two_interior]).size
 
-    m3 = sum(1 for comp in comps if any(two_interior(v) for v in comp))
-
-    m4 = 0
-    for v in x.vertices:
-        if v not in tri_vertices:
-            continue
-        for nb in adj[v]:
-            if nb in tri_vertices:
-                continue  # neighbor must be 1-interior
-            others = adj[nb] - {v}
-            if not (others & tri_vertices):
-                m4 += 1
-                break
+    # v on a triangle with a 1-interior neighbor u whose only neighbor on a
+    # triangle is v
+    v, u = np.concatenate([inc.edges, inc.edges[:, ::-1]]).T
+    hit = in_tri[v] & ~in_tri[u] & (inc.nbrs_on_tri[u] == 1)
+    m4 = np.unique(v[hit]).size
     return m1, m2, m3, m4
 
 
@@ -125,25 +137,22 @@ class _Facts(NamedTuple):
 
     l_x: np.ndarray  # L_X, dense
     l_g: np.ndarray  # L_{X^1}, dense
-    tri_vertices: set
-    edge_count: dict  # triangle edge -> number of triangles on it
+    inc: _Incidence
     counts: tuple  # interior_counts
     distinctive: DistinctiveResult
     connected: bool
 
 
 def _facts(x: SimplicialComplex, tol: float = 1e-10) -> _Facts:
-    _require_two_complex(x)
+    inc = _incidence(x)
     l_x, l_g = complex_laplacian(x).matrix, x.graph().laplacian_matrix()
-    tri_vertices, edge_count = _triangle_membership(x)
     return _Facts(
         l_x,
         l_g,
-        tri_vertices,
-        edge_count,
-        _interior_counts(x, tri_vertices, edge_count),
-        _distinctive(x, l_x, l_g, edge_count, tol),
-        len(connected_components(x.graph())) == 1,
+        inc,
+        _interior_counts(x.n, inc),
+        _distinctive(inc, l_x, l_g, tol),
+        x.n > 0 and not _components(x.n, inc.edges).any(),
     )
 
 
@@ -153,28 +162,24 @@ def distinctive_check(x: SimplicialComplex, tol: float = 1e-10) -> DistinctiveRe
     return _facts(x, tol).distinctive
 
 
-def _distinctive(x, l_x, l_g, edge_count: dict, tol: float) -> DistinctiveResult:
-    if not edge_count:
+def _distinctive(inc: _Incidence, l_x, l_g, tol: float) -> DistinctiveResult:
+    if not len(inc.tri_edges):
         return DistinctiveResult("neither", True, None)
-    idx = x.index
-    tri_edge_rows = [
-        (idx[min(e, key=idx.__getitem__)], idx[max(e, key=idx.__getitem__)])
-        for e in edge_count
-    ]
+    i, j = inc.tri_edges.T
 
     def qualifies(diff):
-        worst = None
-        off = diff - np.diag(np.diag(diff))
-        bad = np.argwhere(off > tol)
-        for i, j in bad:
-            v = off[i, j]
-            if worst is None or v > worst[2]:
-                worst = (int(i), int(j), float(v))
-        if worst is not None:
-            return False, worst
-        for i, j in tri_edge_rows:
-            if diff[i, j] >= -tol:
-                return False, (i, j, float(diff[i, j]))
+        # the witness is the first largest off-diagonal entry above tol in
+        # row-major order, else the first triangle edge not below -tol
+        np.fill_diagonal(diff, 0.0)
+        bad = np.flatnonzero(diff > tol)
+        if bad.size:
+            k = bad[np.argmax(diff.flat[bad])]
+            return False, (*map(int, divmod(k, len(diff))), float(diff.flat[k]))
+        on = diff[i, j]
+        miss = np.flatnonzero(on >= -tol)
+        if miss.size:
+            k = miss[0]
+            return False, (int(i[k]), int(j[k]), float(on[k]))
         return True, None
 
     ok, witness = qualifies(l_g - l_x)
@@ -186,34 +191,24 @@ def _distinctive(x, l_x, l_g, edge_count: dict, tol: float) -> DistinctiveResult
     return DistinctiveResult("neither", False, witness or witness2)
 
 
-def _prop1_conditions(x: SimplicialComplex, tri_vertices: set, edge_count: dict):
+def _prop1_conditions(inc: _Incidence):
     """The three geometric hypotheses of the non-shift-invariance result."""
-    adj = x.graph().adjacency_sets()
+    a, b = inc.edges.T
 
     # (a) no bare edge joining two distinct 2-simplices (edges belonging to
     # a 2-simplex do not count as "direct" connections)
-    cond_a = True
-    for (u, v) in x.edges:
-        if frozenset((u, v)) in edge_count:
-            continue
-        if u in tri_vertices and v in tri_vertices:
-            cond_a = False
-            break
+    cond_a = not ((inc.on_edge == 0) & inc.in_tri[a] & inc.in_tri[b]).any()
 
     # (b) every 1-interior vertex has at most one neighbor belonging to a
     # 2-simplex (the strong reading the counting argument requires: its
     # contact vertex must then qualify as an m4 vertex); one such vertex
     # must exist
-    one_interior = [v for v in x.vertices if v not in tri_vertices]
-    cond_b = bool(one_interior)
-    for v in one_interior:
-        if len(adj[v] & tri_vertices) > 1:
-            cond_b = False
-            break
+    one_interior = ~inc.in_tri
+    cond_b = one_interior.any() and (inc.nbrs_on_tri[one_interior] <= 1).all()
 
     # (c) each edge in at most one 2-simplex
-    cond_c = all(c <= 1 for c in edge_count.values())
-    return cond_a, cond_b, cond_c
+    cond_c = (inc.on_edge <= 1).all()
+    return bool(cond_a), bool(cond_b), bool(cond_c)
 
 
 def shift_invariance_certificate(x: SimplicialComplex):
@@ -226,7 +221,7 @@ def shift_invariance_certificate(x: SimplicialComplex):
 
 
 def _certificate(x, f: _Facts):
-    prop1 = _prop1_conditions(x, f.tri_vertices, f.edge_count)
+    prop1 = _prop1_conditions(f.inc)
     m1, m2, m3, m4 = f.counts
     n = x.n
     # The constant vector is a common eigenvector (eigenvalue 0) of both
@@ -274,13 +269,15 @@ def _sandwich(x, f: _Facts, unit_tol: float = 1e-9) -> SandwichBounds:
         raise ComplexError("sandwich bounds require unit edge weights")
     if not f.connected:
         raise ComplexError("sandwich bounds require a connected complex")
+    if x.n < 2:
+        raise ComplexError("sandwich bounds need at least two vertices")
     n = x.n
     # orthonormal basis of the complement of the constant vector
     basis = np.linalg.qr(np.eye(n) - np.full((n, n), 1.0 / n))[0][:, : n - 1]
     a = basis.T @ f.l_x @ basis
     b = basis.T @ f.l_g @ basis
     vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    k_min, k_max = _edge_triangle_stats(x, f.edge_count)
+    k_min, k_max = _edge_triangle_stats(f.inc)
     return SandwichBounds(
         float(vals.min()),
         float(vals.max()),
@@ -334,26 +331,20 @@ class DiagnosticsReport:
 def diagnostics_report(x: SimplicialComplex, seed: int = 0, ratio_samples: int = 5) -> DiagnosticsReport:
     """Assemble the full diagnostics record for a 2-complex."""
     f = _facts(x)
-    g = x.graph()
-    triangles = x.triangles()
-    gammas = [
-        shape_constant(g.weight(t[0], t[1]), g.weight(t[0], t[2]), g.weight(t[1], t[2]))
-        for t in triangles
-    ]
-    k_min, k_max = _edge_triangle_stats(x, f.edge_count)
+    gammas = _shape_constants(*f.inc.tri_weights.T)
+    k_min, k_max = _edge_triangle_stats(f.inc)
     m1, m2, m3, m4 = f.counts
     prop1, certificate, comm = _certificate(x, f)
 
     sandwich = None
     unit = all(abs(w - 1.0) <= 1e-9 for w in x.edges.values())
-    if unit and f.connected:
+    if unit and f.connected and x.n >= 2:
         sandwich = _sandwich(x, f)
 
     # empirical quadratic-form ratios <y, L_{X^1} y> / <x, L_X x> per triangle
     rng = np.random.default_rng(seed)
     ratios = []
-    for t in triangles[: max(1, ratio_samples)]:
-        w12, w13, w23 = g.weight(t[0], t[1]), g.weight(t[0], t[2]), g.weight(t[1], t[2])
+    for w12, w13, w23 in f.inc.tri_weights[: max(1, ratio_samples)]:
         l_tri = two_simplex_closed_form(w12, w13, w23).matrix
         l_tri_g = WeightedGraph(
             (1, 2, 3), {(1, 2): w12, (1, 3): w13, (2, 3): w23}
@@ -367,7 +358,7 @@ def diagnostics_report(x: SimplicialComplex, seed: int = 0, ratio_samples: int =
                 ratios.append(num / den)
 
     return DiagnosticsReport(
-        gamma_min=min(gammas) if gammas else None,
+        gamma_min=float(gammas.min()) if len(gammas) else None,
         graph_type=is_graph_type(f.l_x, tol=1e-12),
         k_min=k_min,
         k_max=k_max,

@@ -26,7 +26,7 @@ __all__ = [
     "star_expansion",
     "simplex_laplacian",
     "two_simplex_closed_form",
-    "add_simplex_block",
+    "block_entries",
     "complex_laplacian",
     "shape_constant",
     "is_graph_type",
@@ -144,11 +144,12 @@ def simplex_laplacian(se: StarExpansion) -> GeneralizedLaplacian:
     return GeneralizedLaplacian(lap, se.vertices, (se.vertices,))
 
 
-def _two_simplex_matrix(w12: float, w13: float, w23: float) -> np.ndarray:
+def _two_simplex_matrix(w12, w13, w23) -> np.ndarray:
+    """The 2-simplex closed form, (3, 3); for arrays of k weight triples, (k, 3, 3)."""
     a = (w13 + w12 - w23) / 2.0  # Gromov product at v1
     b = (w23 + w12 - w13) / 2.0  # at v2
     c = (w13 + w23 - w12) / 2.0  # at v3
-    return (
+    m = (
         np.array(
             [
                 [b + c + 4 * a, c - 2 * a - 2 * b, b - 2 * a - 2 * c],
@@ -158,6 +159,7 @@ def _two_simplex_matrix(w12: float, w13: float, w23: float) -> np.ndarray:
         )
         / 9.0
     )
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def two_simplex_closed_form(
@@ -169,29 +171,43 @@ def two_simplex_closed_form(
     return GeneralizedLaplacian(_two_simplex_matrix(w12, w13, w23), verts, (verts,))
 
 
-def add_simplex_block(lap: np.ndarray, rows, weights, sign: float = 1.0) -> None:
-    """Add ``sign`` (+1 or -1) times one simplex's Laplacian block to ``lap``.
+def block_entries(simplices, weights) -> tuple:
+    """The Laplacian blocks of a sequence of simplices as (rows, cols, values).
 
-    ``rows`` are the simplex's rows in ``lap``, ``weights`` the lengths of
-    its vertex pairs in ``itertools.combinations(rows, 2)`` order.  An edge
-    adds w [[1,-1],[-1,1]] as four scalar updates, a 2-simplex its closed
-    form and a larger simplex its star expansion; with sign -1 every entry
-    gets exactly the bits of subtracting the block.
+    ``simplices[k]`` lists the matrix rows of a simplex with at least two
+    vertices, ``weights[k]`` the lengths of its vertex pairs in
+    ``itertools.combinations`` order.  An edge gives w [[1,-1],[-1,1]] (a
+    negative w retires an edge block), a 2-simplex its closed form, both
+    computed for all simplices at once, and a larger simplex its star
+    expansion.  The entries of simplex k precede those of simplex k+1, so
+    ``np.add.at(lap, (rows, cols), values)``, which applies repeated indices
+    one at a time in order, adds the blocks one after another.
     """
-    if len(rows) == 2:
-        i, j = rows
-        w = sign * weights[0]
-        lap[i, i] += w
-        lap[j, j] += w
-        lap[i, j] -= w
-        lap[j, i] -= w
-        return
-    if len(rows) == 3:
-        block = _two_simplex_matrix(*weights)
-    else:
-        pairs = dict(zip(itertools.combinations(rows, 2), weights))
-        block = simplex_laplacian(star_expansion(rows, pairs)).matrix
-    lap[np.ix_(rows, rows)] += sign * block
+    sizes = np.fromiter(map(len, simplices), dtype=np.intp, count=len(simplices))
+    start = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    rows = np.empty(start[-1], dtype=np.intp)
+    cols = np.empty(start[-1], dtype=np.intp)
+    values = np.empty(start[-1])
+    for size, pattern in ((2, ([0, 1, 0, 1], [0, 1, 1, 0])),
+                          (3, ([0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2] * 3))):
+        ks = np.flatnonzero(sizes == size)
+        r = np.array([simplices[k] for k in ks], dtype=np.intp).reshape(-1, size)
+        w = np.array([weights[k] for k in ks], dtype=float).reshape(-1, size * (size - 1) // 2)
+        slots = start[ks, None] + np.arange(size * size)
+        rows[slots] = r[:, pattern[0]]
+        cols[slots] = r[:, pattern[1]]
+        if size == 2:
+            values[slots] = w * [1.0, 1.0, -1.0, -1.0]
+        else:
+            values[slots] = _two_simplex_matrix(*w.T).reshape(-1, 9)
+    for k in np.flatnonzero(sizes >= 4):
+        s = list(simplices[k])
+        pairs = dict(zip(itertools.combinations(s, 2), weights[k]))
+        block = simplex_laplacian(star_expansion(s, pairs)).matrix
+        rows[start[k]:start[k + 1]] = np.repeat(s, len(s))
+        cols[start[k]:start[k + 1]] = np.tile(s, len(s))
+        values[start[k]:start[k + 1]] = block.ravel()
+    return rows, cols, values
 
 
 def complex_laplacian(x: SimplicialComplex) -> GeneralizedLaplacian:
@@ -209,15 +225,22 @@ def complex_laplacian(x: SimplicialComplex) -> GeneralizedLaplacian:
             x.vertices,
             tuple(s for s in maximal_simplices(x) if len(s) >= 2),
         )
+    blocks = [s for s in maximal_simplices(x) if len(s) >= 2]
+    # maximal simplices and edge keys both list vertices in vertex order
+    rows, cols, values = block_entries(
+        [[idx[v] for v in s] for s in blocks],
+        [[x.edges[e] for e in itertools.combinations(s, 2)] for s in blocks],
+    )
     lap = np.zeros((n, n))
-    provenance = []
-    for s in maximal_simplices(x):
-        if len(s) >= 2:
-            # maximal simplices and edge keys both list vertices in vertex order
-            weights = [x.edges[e] for e in itertools.combinations(s, 2)]
-            add_simplex_block(lap, [idx[v] for v in s], weights)
-            provenance.append(s)
-    return GeneralizedLaplacian(lap, x.vertices, tuple(provenance))
+    np.add.at(lap, (rows, cols), values)
+    return GeneralizedLaplacian(lap, x.vertices, tuple(blocks))
+
+
+def _shape_constants(w12, w13, w23):
+    return np.minimum(
+        np.minimum((5 * w12 - w13 - w23) / 2.0, (5 * w13 - w12 - w23) / 2.0),
+        (5 * w23 - w12 - w13) / 2.0,
+    )
 
 
 def shape_constant(w12: float, w13: float, w23: float) -> float:
@@ -226,11 +249,7 @@ def shape_constant(w12: float, w13: float, w23: float) -> float:
     Non-negative iff the 2-simplex Laplacian is of graph type.
     """
     _check_positive(w12, w13, w23)
-    return min(
-        (5 * w12 - w13 - w23) / 2.0,
-        (5 * w13 - w12 - w23) / 2.0,
-        (5 * w23 - w12 - w13) / 2.0,
-    )
+    return float(_shape_constants(w12, w13, w23))
 
 
 def is_graph_type(l: GeneralizedLaplacian | np.ndarray, tol: float = 0.0) -> bool:

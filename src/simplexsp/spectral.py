@@ -8,6 +8,7 @@ and columns inside a repeated-eigenvalue block are ordered lexicographically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -144,6 +145,9 @@ def eigendecompose(l, sym_tol: float = 1e-8, upto: int | None = None) -> Spectru
     if upto is not None and upto < 1:
         raise ValueError(f"upto must be >= 1, got {upto}")
     scale = max(1.0, float(np.linalg.norm(m)))
+    if not math.isfinite(scale):
+        # an infinite scale would pass any matrix as symmetric
+        raise NumericalError("matrix norm overflows")
     if np.linalg.norm(m - m.T) > sym_tol * scale:
         raise NumericalError("matrix is not symmetric within tolerance")
     sym = (m + m.T) / 2.0
@@ -288,7 +292,10 @@ def commutator_norm(l1, l2) -> float:
     den = np.linalg.norm(a) * np.linalg.norm(b)
     if den == 0.0:
         return 0.0
-    return float(np.linalg.norm(a @ b - b @ a) / den)
+    out = float(np.linalg.norm(a @ b - b @ a) / den)
+    if not (math.isfinite(out) and math.isfinite(den)):
+        raise NumericalError("commutator norm overflows")
+    return out
 
 
 @dataclass(frozen=True)

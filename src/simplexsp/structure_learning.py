@@ -22,7 +22,7 @@ from .complex_core import (
     WeightedGraph,
     enumerate_candidate_triangles,
 )
-from .laplacian import GeneralizedLaplacian, add_simplex_block
+from .laplacian import GeneralizedLaplacian, block_entries
 from .spectral import Spectrum, eigendecompose
 
 __all__ = [
@@ -248,21 +248,25 @@ def build_family(
     updates = []
 
     for batch in batches:
-        fills, cells = [], set()
+        fills, simplices, weights = [], [], []
         for t in batch:
             rows = [idx[v] for v in t]
-            cells.update(itertools.product(rows, rows))
-            weights = [wmap[frozenset(e)] for e in itertools.combinations(t, 2)]
+            tri_weights = [wmap[frozenset(e)] for e in itertools.combinations(t, 2)]
             for e, pair, w in zip(itertools.combinations(t, 2),
-                                  itertools.combinations(rows, 2), weights):
+                                  itertools.combinations(rows, 2), tri_weights):
                 if pair not in covered:
                     fills.append((e, w))
                 elif not covered[pair]:
                     # the edge stops being a maximal simplex: retire its block
-                    add_simplex_block(lap, pair, [w], -1.0)
+                    simplices.append(pair)
+                    weights.append([-w])
                 covered[pair] = True
-            add_simplex_block(lap, rows, weights)
-        rows, cols = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+            simplices.append(rows)
+            weights.append(tri_weights)
+        rows, cols, values = block_entries(simplices, weights)
+        np.add.at(lap, (rows, cols), values)
+        # the triangle blocks hold every entry the batch touched
+        rows, cols = np.divmod(np.unique(rows * len(base) + cols), len(base))
         updates.append((rows, cols, lap[rows, cols], fills))
 
     return LaplacianFamily(g, base, updates, rank, batches, queue, seed)

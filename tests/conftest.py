@@ -61,15 +61,16 @@ LENGTHS = st.floats(0.1, 10.0)
 
 
 @st.composite
-def random_complexes(draw, weight=st.just(1.0)):
-    """Stored simplices of 3-5 vertices, each with all, none or some of its
-    faces of size >= 3, plus bare edges and isolated vertices.  Each edge's
-    length is drawn from ``weight``."""
+def random_complexes(draw, weight=st.just(1.0), max_simplex=5):
+    """Stored simplices of 3 to ``max_simplex`` vertices, each with all, none
+    or some of its faces of size >= 3, plus bare edges and isolated vertices.
+    Each edge's length is drawn from ``weight``."""
     vertices = draw(st.lists(st.sampled_from(VERTEX_POOL), min_size=1, max_size=10, unique=True))
     simplices = set()
     if len(vertices) >= 3:
         top = st.lists(
-            st.sampled_from(vertices), min_size=3, max_size=min(5, len(vertices)), unique=True
+            st.sampled_from(vertices), min_size=3, max_size=min(max_simplex, len(vertices)),
+            unique=True,
         )
         for s in draw(st.lists(top, max_size=6)):
             simplices.add(tuple(s))

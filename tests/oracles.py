@@ -9,14 +9,25 @@ import itertools
 
 import numpy as np
 
-from simplexsp import ComplexError, SimplicialComplex, maximal_simplices
+from simplexsp import (
+    ComplexError,
+    SimplicialComplex,
+    WeightedGraph,
+    complex_laplacian,
+    connected_components,
+    is_graph_type,
+    maximal_simplices,
+    shape_constant,
+    two_simplex_closed_form,
+)
+from simplexsp.diagnostics import DiagnosticsReport, DistinctiveResult, SandwichBounds
 from simplexsp.laplacian import (
     GeneralizedLaplacian,
     _two_simplex_matrix,
     simplex_laplacian,
     star_expansion,
 )
-from simplexsp.spectral import SIGN_EPS, Spectrum, gft, igft
+from simplexsp.spectral import SIGN_EPS, Spectrum, commutator_norm, gft, igft
 
 
 def maximal_simplices_quadratic(x):
@@ -209,3 +220,206 @@ def denoise_labels_full(
     if num_classes is None:
         num_classes = max(1, int(np.rint(noisy.max())))
     return np.clip(labels, 1, num_classes)
+
+
+def _triangle_membership(x):
+    """Per-vertex and per-edge triangle incidence."""
+    tri_vertices: set = set()
+    edge_count: dict = {}
+    for t in x.triangles():
+        tri_vertices.update(t)
+        for u, v in itertools.combinations(t, 2):
+            edge_count[frozenset((u, v))] = edge_count.get(frozenset((u, v)), 0) + 1
+    return tri_vertices, edge_count
+
+
+def _edge_triangle_stats(x, edge_count: dict):
+    counts = [edge_count.get(frozenset(e), 0) for e in x.edges]
+    if not counts:
+        return 0, 0
+    k_min = min(counts)
+    in_tri = [c for c in counts if c > 0]
+    k_max = max(in_tri) if in_tri else 0
+    return k_min, k_max
+
+
+def _interior_counts(x, tri_vertices: set, edge_count: dict):
+    adj = x.graph().adjacency_sets()
+
+    m1 = sum(1 for v in x.vertices if v not in tri_vertices)
+
+    # subcomplex spanned by the triangles
+    if tri_vertices:
+        tri_edges = {tuple(sorted(e, key=x.index.__getitem__)): 1.0 for e in edge_count}
+        sub = WeightedGraph(sorted(tri_vertices, key=x.index.__getitem__), tri_edges)
+        comps = connected_components(sub)
+    else:
+        comps = []
+    m2 = len(comps)
+
+    def two_interior(v) -> bool:
+        return all(frozenset((v, w)) in edge_count for w in adj[v])
+
+    m3 = sum(1 for comp in comps if any(two_interior(v) for v in comp))
+
+    m4 = 0
+    for v in x.vertices:
+        if v not in tri_vertices:
+            continue
+        for nb in adj[v]:
+            if nb in tri_vertices:
+                continue  # neighbor must be 1-interior
+            others = adj[nb] - {v}
+            if not (others & tri_vertices):
+                m4 += 1
+                break
+    return m1, m2, m3, m4
+
+
+def distinctive_check_reference(x, tol: float = 1e-10):
+    """Which of L_{X^1} - L_X / L_X - L_{X^1} is a graph Laplacian supported
+    on triangle edges, with a witness entry when neither is.
+
+    Reference for :func:`simplexsp.diagnostics.distinctive_check`: scans the
+    violating entries and the triangle edges in Python loops.
+    """
+    l_x, l_g = complex_laplacian(x).matrix, x.graph().laplacian_matrix()
+    edge_count = _triangle_membership(x)[1]
+    if not edge_count:
+        return DistinctiveResult("neither", True, None)
+    idx = x.index
+    tri_edge_rows = [
+        (idx[min(e, key=idx.__getitem__)], idx[max(e, key=idx.__getitem__)])
+        for e in edge_count
+    ]
+
+    def qualifies(diff):
+        worst = None
+        off = diff - np.diag(np.diag(diff))
+        bad = np.argwhere(off > tol)
+        for i, j in bad:
+            v = off[i, j]
+            if worst is None or v > worst[2]:
+                worst = (int(i), int(j), float(v))
+        if worst is not None:
+            return False, worst
+        for i, j in tri_edge_rows:
+            if diff[i, j] >= -tol:
+                return False, (i, j, float(diff[i, j]))
+        return True, None
+
+    ok, witness = qualifies(l_g - l_x)
+    if ok:
+        return DistinctiveResult("X1_minus_X", False, None)
+    ok2, witness2 = qualifies(l_x - l_g)
+    if ok2:
+        return DistinctiveResult("X_minus_X1", False, None)
+    return DistinctiveResult("neither", False, witness or witness2)
+
+
+def _prop1_conditions(x, tri_vertices: set, edge_count: dict):
+    """The three geometric hypotheses of the non-shift-invariance result."""
+    adj = x.graph().adjacency_sets()
+
+    # (a) no bare edge joining two distinct 2-simplices (edges belonging to
+    # a 2-simplex do not count as "direct" connections)
+    cond_a = True
+    for (u, v) in x.edges:
+        if frozenset((u, v)) in edge_count:
+            continue
+        if u in tri_vertices and v in tri_vertices:
+            cond_a = False
+            break
+
+    # (b) every 1-interior vertex has at most one neighbor belonging to a
+    # 2-simplex (the strong reading the counting argument requires: its
+    # contact vertex must then qualify as an m4 vertex); one such vertex
+    # must exist
+    one_interior = [v for v in x.vertices if v not in tri_vertices]
+    cond_b = bool(one_interior)
+    for v in one_interior:
+        if len(adj[v] & tri_vertices) > 1:
+            cond_b = False
+            break
+
+    # (c) each edge in at most one 2-simplex
+    cond_c = all(c <= 1 for c in edge_count.values())
+    return cond_a, cond_b, cond_c
+
+
+def diagnostics_report_reference(x, seed: int = 0, ratio_samples: int = 5):
+    """The full diagnostics record of a 2-complex.
+
+    Reference for :func:`simplexsp.diagnostics.diagnostics_report`: the
+    triangle incidence, interior counts, distinctive test, Proposition 1
+    conditions and shape constants computed one simplex at a time.  The
+    sandwich is left out below two vertices, where it has no generalized
+    eigenvalue.
+    """
+    import scipy.linalg
+
+    if any(len(s) > 3 for s in x.simplices):
+        raise ComplexError("diagnostics are specific to complexes of dimension <= 2")
+    l_x, l_g = complex_laplacian(x).matrix, x.graph().laplacian_matrix()
+    tri_vertices, edge_count = _triangle_membership(x)
+    m1, m2, m3, m4 = _interior_counts(x, tri_vertices, edge_count)
+    distinctive = distinctive_check_reference(x)
+    connected = len(connected_components(x.graph())) == 1
+    g = x.graph()
+    triangles = x.triangles()
+    gammas = [
+        shape_constant(g.weight(t[0], t[1]), g.weight(t[0], t[2]), g.weight(t[1], t[2]))
+        for t in triangles
+    ]
+    k_min, k_max = _edge_triangle_stats(x, edge_count)
+    prop1 = _prop1_conditions(x, tri_vertices, edge_count)
+    n = x.n
+    certificate = (
+        connected
+        and distinctive.direction != "neither"
+        and 1 <= (m1 + m4) < n
+        and m2 <= m3 + m4
+    )
+
+    sandwich = None
+    unit = all(abs(w - 1.0) <= 1e-9 for w in x.edges.values())
+    if unit and connected and n >= 2:
+        basis = np.linalg.qr(np.eye(n) - np.full((n, n), 1.0 / n))[0][:, : n - 1]
+        vals = scipy.linalg.eigh(basis.T @ l_x @ basis, basis.T @ l_g @ basis,
+                                 eigvals_only=True)
+        sandwich = SandwichBounds(float(vals.min()), float(vals.max()),
+                                  max(k_min / 3.0, 1.0 / 3.0), k_max / 3.0, k_min, k_max)
+
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for t in triangles[: max(1, ratio_samples)]:
+        w12, w13, w23 = g.weight(t[0], t[1]), g.weight(t[0], t[2]), g.weight(t[1], t[2])
+        l_tri = two_simplex_closed_form(w12, w13, w23).matrix
+        l_tri_g = WeightedGraph(
+            (1, 2, 3), {(1, 2): w12, (1, 3): w13, (2, 3): w23}
+        ).laplacian_matrix()
+        for _ in range(ratio_samples):
+            v = rng.standard_normal(3)
+            y = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
+            num = float(y @ l_tri_g @ y)
+            den = float(v @ l_tri @ v)
+            if abs(den) > 1e-14:
+                ratios.append(num / den)
+
+    return DiagnosticsReport(
+        gamma_min=min(gammas) if gammas else None,
+        graph_type=is_graph_type(l_x, tol=1e-12),
+        k_min=k_min,
+        k_max=k_max,
+        m1=m1,
+        m2=m2,
+        m3=m3,
+        m4=m4,
+        distinctive=distinctive.direction,
+        trivially_distinctive=distinctive.trivially_distinctive,
+        prop1_conditions=prop1,
+        theorem_certificate=certificate,
+        commutator=commutator_norm(l_x, l_g),
+        sandwich=sandwich,
+        difference_ratio_samples=ratios,
+    )

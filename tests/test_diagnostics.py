@@ -1,7 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexsp import (
     ComplexError,
@@ -19,7 +22,8 @@ from simplexsp import (
     shift_invariance_certificate,
 )
 
-from conftest import pendant_complex, random_metric_complex
+from conftest import LENGTHS, pendant_complex, random_complexes, random_metric_complex
+from oracles import diagnostics_report_reference, distinctive_check_reference
 
 
 def joined_triangles_complex():
@@ -104,6 +108,21 @@ class TestDistinctiveCheck:
         # once lost, a witness entry is reported
         res = distinctive_check(book_complex(8))
         assert res.witness is not None and res.witness[2] > 0
+
+    def test_witness_is_first_triangle_edge_in_first_use_order(self):
+        # two 6-page books: L_{X^1} - L_X is 0 on each spine, so the witness
+        # is a spine; (1, 5) is used by the first triangle (0, 1, 5) and
+        # comes first, though (0, 2) sorts and is listed first
+        edges, tris = {}, []
+        for (u, v), pages in (((1, 5), [0, 6, 7, 8, 9, 10]), ((0, 2), range(11, 17))):
+            for p in pages:
+                tris.append(tuple(sorted((u, v, p))))
+                edges.update({e: 1.0 for e in itertools.combinations(tris[-1], 2)})
+        x = SimplicialComplex(range(17), dict(sorted(edges.items())), tris)
+        res = distinctive_check(x)
+        assert res.direction == "neither"
+        assert res.witness[:2] == (1, 5)
+        assert res == distinctive_check_reference(x)
 
     def test_witness_none_when_distinctive(self, rng):
         x, _ = pendant_complex(rng)
@@ -282,3 +301,31 @@ class TestDiagnosticsReport:
             assert rep.theorem_certificate == certificate
             assert rep.commutator == comm
             assert rep.sandwich == sandwich_bounds(x)
+
+
+def _metric_two_complex(seed, edge_prob, unit):
+    x = random_metric_complex(np.random.default_rng(seed), edge_prob=edge_prob,
+                              connected=seed % 2 == 0)
+    if unit:
+        x = SimplicialComplex(x.vertices, {e: 1.0 for e in x.edges}, x.simplices)
+    return x
+
+
+# small complexes with string ids, bare edges, isolated vertices and
+# disconnected parts, and metric complexes of up to 30 vertices, half of
+# them connected, sparse ones with pendant vertices among them; each with
+# unit lengths (the sandwich runs) and without
+TWO_COMPLEXES = st.one_of(
+    random_complexes(max_simplex=3),
+    random_complexes(LENGTHS, max_simplex=3),
+    st.builds(_metric_two_complex, st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.2, 0.4]),
+              st.booleans()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TWO_COMPLEXES)
+def test_report_matches_loop_reference(x):
+    got = json.dumps(diagnostics_report(x).as_dict())
+    assert got == json.dumps(diagnostics_report_reference(x).as_dict())
+    assert distinctive_check(x) == distinctive_check_reference(x)

@@ -27,7 +27,7 @@ from simplexsp.io import (
     save_signals,
 )
 
-from conftest import random_metric_complex
+from conftest import LENGTHS, random_complexes, random_metric_complex
 
 
 TRIANGLE_JSON = {
@@ -363,6 +363,30 @@ class TestCli:
         assert main(argv) == 3
         assert not (tmp_path / "f.csv").exists()
 
+    def test_diagnose_one_vertex(self, tmp_path):
+        cx = tmp_path / "c.json"
+        cx.write_text(json.dumps({"vertices": [0], "edges": [], "simplices": []}))
+        out = tmp_path / "d.json"
+        assert main(["diagnose", "--complex", str(cx), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["sandwich"] is None
+
+    @pytest.mark.parametrize("text", ["1e200,1e200\n0,1e200\n", "1e308,-1e308\n-1e308,1e308\n"],
+                             ids=["asymmetric", "symmetric"])
+    def test_overflowing_matrix_exit_3(self, tmp_path, text):
+        lap = tmp_path / "m.csv"
+        lap.write_text(text)
+        out = tmp_path / "s.json"
+        assert main(["spectrum", "--laplacian", str(lap), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_overflowing_commutator_exit_3(self, tmp_path):
+        cx = tmp_path / "c.json"
+        edges = [[1, 2, 1e200], [1, 3, 1e200], [2, 3, 1e200], [3, 4, 1e200]]
+        cx.write_text(json.dumps(dict(TRIANGLE_JSON, edges=edges)))
+        out = tmp_path / "d.json"
+        assert main(["diagnose", "--complex", str(cx), "--out", str(out)]) == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, option",
         [
@@ -514,6 +538,36 @@ def test_cli_fuzz_exits_0_2_or_3(run):
             command, cfg = run
             rc = run_config(tmp, command, cfg)
         assert rc in (0, 2, 3)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+# unit lengths (the sandwich runs), lengths around 1, and lengths whose
+# squares and products overflow
+FUZZ_COMPLEXES = st.one_of(
+    random_complexes(),
+    random_complexes(LENGTHS),
+    random_complexes(st.just(1.0) | LENGTHS | st.floats(1e100, 1e200)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FUZZ_COMPLEXES)
+def test_diagnose_fuzz_exits_0_2_or_3(x):
+    """diagnose writes finite JSON or fails with a validation or numerical exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cx, out = Path(tmp) / "c.json", Path(tmp) / "d.json"
+        cx.write_text(json.dumps({
+            "vertices": list(x.vertices),
+            "edges": [[u, v, w] for (u, v), w in x.edges.items()],
+            "simplices": [list(s) for s in x.simplices],
+        }))
+        rc = main(["diagnose", "--complex", str(cx), "--out", str(out)])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            json.loads(out.read_text(), parse_constant=_reject_constant)
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"

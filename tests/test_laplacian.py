@@ -223,6 +223,14 @@ class TestComplexLaplacian:
         assert got.matrix.tobytes() == want.matrix.tobytes()
         assert got.provenance == want.provenance
 
+    def test_matches_reference_bitwise_metric_complexes(self, rng):
+        # up to 30 vertices: rows repeat often across the blocks
+        for _ in range(60):
+            x = random_metric_complex(rng)
+            got, want = complex_laplacian(x), complex_laplacian_reference(x)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.provenance == want.provenance
+
     def test_operator_properties_random_metric_complexes(self, rng):
         for _ in range(40):
             x = random_metric_complex(rng)
