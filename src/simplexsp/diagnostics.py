@@ -21,7 +21,7 @@ from .laplacian import (
     is_graph_type,
     two_simplex_closed_form,
 )
-from .spectral import commutator_norm
+from .spectral import _gvd_values, _norm_scale, commutator_norm
 
 __all__ = [
     "DiagnosticsReport",
@@ -261,10 +261,6 @@ def sandwich_bounds(x: SimplicialComplex, unit_tol: float = 1e-9) -> SandwichBou
 
 
 def _sandwich(x, f: _Facts, unit_tol: float = 1e-9) -> SandwichBounds:
-    # imported here, not at module level, so that commands without a
-    # generalized eigenproblem do not pay for loading scipy
-    import scipy.linalg
-
     if any(abs(w - 1.0) > unit_tol for w in x.edges.values()):
         raise ComplexError("sandwich bounds require unit edge weights")
     if not f.connected:
@@ -276,7 +272,7 @@ def _sandwich(x, f: _Facts, unit_tol: float = 1e-9) -> SandwichBounds:
     basis = np.linalg.qr(np.eye(n) - np.full((n, n), 1.0 / n))[0][:, : n - 1]
     a = basis.T @ f.l_x @ basis
     b = basis.T @ f.l_g @ basis
-    vals = scipy.linalg.eigh(a, b, eigvals_only=True)
+    vals = _gvd_values(a, b)
     k_min, k_max = _edge_triangle_stats(f.inc)
     return SandwichBounds(
         float(vals.min()),
@@ -289,9 +285,11 @@ def _sandwich(x, f: _Facts, unit_tol: float = 1e-9) -> SandwichBounds:
 
 
 def lemma2_audit(l: GeneralizedLaplacian, components: int) -> dict:
-    """Symmetry / PSD / zero-row-sum / kernel-dimension audit of a Laplacian."""
+    """Symmetry / PSD / zero-row-sum / kernel-dimension audit of a Laplacian.
+
+    Raises :class:`NumericalError` when the Frobenius norm is not finite."""
     m = l.matrix if isinstance(l, GeneralizedLaplacian) else np.asarray(l, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(m)))
+    scale = _norm_scale(m)
     sym_resid = float(np.linalg.norm(m - m.T))
     vals = np.linalg.eigvalsh((m + m.T) / 2.0)
     min_eig = float(vals.min())

@@ -8,7 +8,12 @@ and columns inside a repeated-eigenvalue block are ordered lexicographically.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,9 +41,13 @@ __all__ = [
 SIGN_EPS = 1e-12
 TIE_TOL = 1e-10
 # a partial solve pays only for a low slice: at n=600 it took 0.64x the full
-# solve's time for the lowest 15 % and 1.02x for the lowest 30 %, and with
-# scipy's import an 11-level denoise run broke even at 15 %
+# solve's time for the lowest 15 % and 1.02x for the lowest 30 %; a wider
+# bound would move slices to the other solver and change their bits
 PARTIAL_MAX_FRACTION = 0.15
+# np.linalg.norm sums squares, which underflow below sqrt(tiny) ~ 1.5e-154;
+# below this product of norms, commutator entries within rounding of it can
+# lose their squares, so commutator_norm rescales its operands
+COMMUTATOR_RESCALE = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 
 
 class NumericalError(RuntimeError):
@@ -50,6 +59,16 @@ def _as_matrix(l) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericalError("matrix has non-finite entries")
     return m
+
+
+def _norm_scale(m: np.ndarray) -> float:
+    """max(1, ||m||_F), the scale of a matrix's tolerances.  Raises when the
+    norm is not finite, since an infinite scale would pass every check."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if not math.isfinite(norm):
+        raise NumericalError("matrix norm is not finite")
+    return max(1.0, norm)
 
 
 @dataclass(frozen=True)
@@ -95,6 +114,50 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _flapack():
+    """scipy's LAPACK wrappers, loaded without importing the scipy.linalg
+    package, whose initialisation costs about 0.3 s and 28 MB."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is imported already
+        return sys.modules[name]
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "linalg")])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # loading registers the module under its name; with its package absent a
+    # later import of scipy.linalg would then not bind it as an attribute
+    sys.modules.pop(name, None)
+    return module
+
+
+def _evr(sym: np.ndarray, lo: int, hi: int, compute_v: bool = True) -> tuple:
+    """Eigenpairs lo..hi (0-based, inclusive) of a symmetric matrix by
+    LAPACK's MRRR routine dsyevr, called with the arguments that
+    ``scipy.linalg.eigh(driver="evr", subset_by_index=[lo, hi])`` passes.
+    Without ``compute_v`` the eigenvectors are empty."""
+    lapack = _flapack()
+    lwork, liwork, info = lapack.dsyevr_lwork(sym.shape[0], lower=1)
+    if info == 0:
+        vals, vecs, m, _, info = lapack.dsyevr(
+            sym, compute_v=int(compute_v), range="I", il=lo + 1, iu=hi + 1, lower=1,
+            lwork=int(lwork), liwork=int(liwork),
+        )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
+    return vals[:m], vecs[:, :m]
+
+
+def _gvd_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the pencil (a, b), with b positive definite,
+    by LAPACK's divide-and-conquer routine dsygvd, called with the arguments
+    that ``scipy.linalg.eigh(a, b, eigvals_only=True)`` passes."""
+    vals, _, info = _flapack().dsygvd(a, b, itype=1, jobz="N", uplo="L")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsygvd failed (info {info})")
+    return vals
+
+
 def _low_pairs(sym: np.ndarray, k: int) -> tuple:
     """The lowest pairs of ``sym`` by MRRR, enough of them that the tie block
     holding pair k-1 ends inside the slice, and the tie tolerance.
@@ -104,14 +167,11 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
     a gap at or below the low bound is a tie and one above the high bound
     is not; only a gap between them needs the top eigenvalue solved for.
     """
-    # imported here, not at module level, so that only partial solves load scipy
-    import scipy.linalg
-
     n = sym.shape[0]
 
     def solve(w):
         try:
-            return scipy.linalg.eigh(sym, subset_by_index=[0, w - 1], driver="evr")
+            return _evr(sym, 0, w - 1)
         except np.linalg.LinAlgError:
             # MRRR can fail on a slice that ends inside a cluster of nearly
             # equal eigenvalues; the full solve is the fallback
@@ -123,8 +183,7 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
     while True:
         gaps = np.diff(vals)
         if ((lo < gaps) & (gaps <= hi)).any():
-            top = scipy.linalg.eigh(sym, eigvals_only=True, subset_by_index=[n - 1, n - 1],
-                                    driver="evr")
+            top = _evr(sym, n - 1, n - 1, compute_v=False)[0]
             lo = hi = TIE_TOL * max(1.0, abs(float(vals[0])), abs(float(top[0])))
         if len(vals) == n or (gaps[k - 1:] > hi).any():
             return vals, vecs, hi
@@ -136,18 +195,15 @@ def eigendecompose(l, sym_tol: float = 1e-8, upto: int | None = None) -> Spectru
 
     With ``upto=k`` below the order the spectrum is partial: it holds the k
     lowest pairs, and tie blocks are clipped to them.  Below
-    PARTIAL_MAX_FRACTION of the order only those pairs are computed
-    (``scipy.linalg.eigh``, driver ``evr``).
+    PARTIAL_MAX_FRACTION of the order only those pairs are computed, by
+    LAPACK's MRRR routine (dsyevr).
     """
     m = _as_matrix(l)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NumericalError(f"expected a square matrix, got shape {m.shape}")
     if upto is not None and upto < 1:
         raise ValueError(f"upto must be >= 1, got {upto}")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if not math.isfinite(scale):
-        # an infinite scale would pass any matrix as symmetric
-        raise NumericalError("matrix norm overflows")
+    scale = _norm_scale(m)
     if np.linalg.norm(m - m.T) > sym_tol * scale:
         raise NumericalError("matrix is not symmetric within tolerance")
     sym = (m + m.T) / 2.0
@@ -289,10 +345,17 @@ def commutator_norm(l1, l2) -> float:
     b = _as_matrix(l2)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    den = np.linalg.norm(a) * np.linalg.norm(b)
-    if den == 0.0:
-        return 0.0
-    out = float(np.linalg.norm(a @ b - b @ a) / den)
+    # overflow is caught by the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.linalg.norm(a) * np.linalg.norm(b)
+        if den < COMMUTATOR_RESCALE and a.any() and b.any():
+            # the ratio is scale invariant: compute it from a and b scaled
+            # to a largest entry of 1, where only negligible squares underflow
+            a, b = a / np.abs(a).max(), b / np.abs(b).max()
+            den = np.linalg.norm(a) * np.linalg.norm(b)
+        if den == 0.0:
+            return 0.0
+        out = float(np.linalg.norm(a @ b - b @ a) / den)
     if not (math.isfinite(out) and math.isfinite(den)):
         raise NumericalError("commutator norm overflows")
     return out

@@ -10,6 +10,7 @@ from simplexsp import (
     ComplexError,
     GeneralizedLaplacian,
     Hypergraph,
+    NumericalError,
     SimplicialComplex,
     complex_laplacian,
     diagnostics_report,
@@ -180,6 +181,18 @@ class TestCertificate:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("length", [1e-100, 1e-170, 1e-300])
+    def test_commutator_independent_of_small_length_unit(self, length):
+        # the squares inside the norms underflow at these scales
+        def pendant_triangle(w):
+            edges = {(1, 2): w, (1, 3): w, (2, 3): w, (3, 4): w}
+            return SimplicialComplex([1, 2, 3, 4], edges, [(1, 2, 3)])
+
+        unit = shift_invariance_certificate(pendant_triangle(1.0))[2]
+        assert unit == pytest.approx(0.2876, abs=1e-4)
+        small = shift_invariance_certificate(pendant_triangle(length))[2]
+        assert small == pytest.approx(unit, rel=1e-12)
+
 
 class TestSandwichBounds:
     def test_single_unit_triangle_scalar_ratio(self):
@@ -246,6 +259,11 @@ class TestLemma2Audit:
         report = lemma2_audit(complex_laplacian(x), 2)
         assert report["kernel"]["pass"]
         assert report["kernel"]["dimension"] == 2
+
+    def test_overflowing_norm_rejected(self):
+        # an infinite scale would make every tolerance infinite
+        with pytest.raises(NumericalError):
+            lemma2_audit(np.array([[2.0, -1.0], [-1.0, 2.0]]) * 1e160, 1)
 
 
 class TestDiagnosticsReport:

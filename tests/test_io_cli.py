@@ -372,20 +372,23 @@ class TestCli:
 
     @pytest.mark.parametrize("text", ["1e200,1e200\n0,1e200\n", "1e308,-1e308\n-1e308,1e308\n"],
                              ids=["asymmetric", "symmetric"])
-    def test_overflowing_matrix_exit_3(self, tmp_path, text):
+    def test_overflowing_matrix_exit_3(self, tmp_path, capsys, text):
         lap = tmp_path / "m.csv"
         lap.write_text(text)
         out = tmp_path / "s.json"
         assert main(["spectrum", "--laplacian", str(lap), "--out", str(out)]) == 3
         assert not out.exists()
+        # the failure line is all: the overflow itself warns nothing
+        assert capsys.readouterr().err == "simplexsp: numerical failure: matrix norm is not finite\n"
 
-    def test_overflowing_commutator_exit_3(self, tmp_path):
+    def test_overflowing_commutator_exit_3(self, tmp_path, capsys):
         cx = tmp_path / "c.json"
         edges = [[1, 2, 1e200], [1, 3, 1e200], [2, 3, 1e200], [3, 4, 1e200]]
         cx.write_text(json.dumps(dict(TRIANGLE_JSON, edges=edges)))
         out = tmp_path / "d.json"
         assert main(["diagnose", "--complex", str(cx), "--out", str(out)]) == 3
         assert not out.exists()
+        assert capsys.readouterr().err == "simplexsp: numerical failure: commutator norm overflows\n"
 
     @pytest.mark.parametrize(
         "command, option",
@@ -588,7 +591,7 @@ def test_import_loads_no_scipy():
 
 
 def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
-    # the three commands that import scipy when they need it
+    # the commands that load scipy, or its LAPACK wrappers, when they need it
     cx = tmp_path / "complex.json"
     cx.write_text(json.dumps({"vertices": [1, 2, 3, 4],
                               "edges": [[1, 2, 1.0], [1, 3, 1.0], [2, 3, 1.0], [3, 4, 1.0]],
@@ -611,6 +614,43 @@ def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
     assert len(family["batches"][0]) + len(family["batches"][1]) == 20  # C(6, 3)
     rows = (tmp_path / "denoised" / "denoise.csv").read_text().splitlines()
     assert rows[0] == "snr_db,L_X0,L_X1,L_X2" and len(rows) == 6
+
+
+def test_eigensolvers_load_no_scipy_package(tmp_path):
+    # diagnose solves the sandwich's generalized problem and denoise, on 40
+    # vertices, the partial low band: both through the LAPACK wrappers alone
+    cx = tmp_path / "complex.json"
+    cx.write_text(json.dumps(dict(TRIANGLE_JSON, edges=[[1, 2, 1], [1, 3, 1], [2, 3, 1], [3, 4, 1]])))
+    cfg = tmp_path / "denoise.json"
+    cfg.write_text(json.dumps({"n": 40, "p": 1, "trials": 1, "out_dir": str(tmp_path / "out")}))
+    proc = run_fresh(
+        "import sys; from simplexsp import cli, spectral\n"
+        f"assert cli.main(['denoise', '--config', {str(cfg)!r}]) == 0\n"
+        "print(spectral._flapack.cache_info().currsize)\n"
+        f"assert cli.main(['diagnose', '--complex', {str(cx)!r}, "
+        f"'--out', {str(tmp_path / 'report.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "[]"]
+    assert json.loads((tmp_path / "report.json").read_text())["sandwich"] is not None
+
+
+def test_scipy_linalg_imports_after_the_wrappers():
+    # loading the wrappers first must leave scipy.linalg importable, with
+    # eigh giving the same bits
+    proc = run_fresh(
+        "import numpy as np; from simplexsp import spectral\n"
+        "m = np.diag([3.0, 1.0, 2.0]) + 0.1\n"
+        "ours = spectral._evr(m, 0, 1)\n"
+        "import scipy.linalg\n"
+        "theirs = scipy.linalg.eigh(m, subset_by_index=[0, 1], driver='evr')\n"
+        "assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]\n"
+        "print(scipy.linalg.eigh(m, m + np.eye(3), eigvals_only=True).tobytes() "
+        "== spectral._gvd_values(m, m + np.eye(3)).tobytes())"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))

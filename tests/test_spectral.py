@@ -150,6 +150,15 @@ LAPLACIANS = st.one_of(
 )
 
 
+def k5_in_seven():
+    """K5 with weights 0.01 and two isolated vertices: MRRR fails on [0, 3]."""
+    idx = [0, 1, 3, 4, 6]
+    m = np.zeros((7, 7))
+    m[np.ix_(idx, idx)] = -0.01
+    m[idx, idx] = np.nextafter(0.04, 0.0)
+    return m
+
+
 def solve_partially():
     """Solve every slice below the order partially, however small the matrix."""
     return mock.patch.object(spectral, "PARTIAL_MAX_FRACTION", 1.0)
@@ -197,7 +206,7 @@ class TestPartialEigendecompose:
         assert again.eigenvalues.tobytes() == vals.tobytes()
 
     def test_wide_slice_is_the_truncated_full_solve(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "eigh", None)  # must not be called
+        monkeypatch.setattr(spectral, "_evr", None)  # must not be called
         l = complex_laplacian(from_edge_list(list(itertools.combinations(range(10), 2))))
         full = eigendecompose(l)
         part = eigendecompose(l, upto=2)  # 2 is not below 15 % of 10
@@ -218,13 +227,9 @@ class TestPartialEigendecompose:
 
     @solve_partially()
     def test_slice_inside_a_cluster_falls_back_to_full_solve(self):
-        # K5 with weights 0.01 and two isolated vertices: three zeros, then
-        # 0.05 four times up to rounding; MRRR fails on the slice [0, 3],
-        # which the tie block at the cut of upto=1 widens to
-        idx = [0, 1, 3, 4, 6]
-        m = np.zeros((7, 7))
-        m[np.ix_(idx, idx)] = -0.01
-        m[idx, idx] = np.nextafter(0.04, 0.0)
+        # three zeros, then 0.05 four times up to rounding; the tie block at
+        # the cut of upto=1 widens the slice to [0, 3], where MRRR fails
+        m = k5_in_seven()
         full = eigendecompose(m)
         for k in range(1, 7):
             part = eigendecompose(m, upto=k)
@@ -236,13 +241,13 @@ class TestPartialEigendecompose:
     @solve_partially()
     def test_top_eigenvalue_solved_only_for_undecided_gaps(self, monkeypatch):
         calls = []
-        real = scipy.linalg.eigh
+        real = spectral._evr
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["subset_by_index"])
-            return real(*args, **kwargs)
+        def counting(sym, lo, hi, **kwargs):
+            calls.append([lo, hi])
+            return real(sym, lo, hi, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        monkeypatch.setattr(spectral, "_evr", counting)
         # gaps far above TIE_TOL ||L||_inf: no tie is possible
         eigendecompose(path_laplacian(), upto=1)
         assert calls == [[0, 1]]
@@ -284,6 +289,79 @@ class TestPartialEigendecompose:
         assert igft(s, np.ones(3)).shape == (s.n,)
         with pytest.raises(ValueError):
             igft(s, np.ones(s.n))
+
+
+@st.composite
+def clustered_symmetric(draw):
+    """Q diag(lambda) Q^T whose eigenvalues sit at up to three centres,
+    each off its centre by 0 or by a few ulps to 1e-6: clusters of equal
+    and nearly equal eigenvalues, the inputs on which MRRR can fail."""
+    n = draw(st.integers(1, 12))
+    centres = draw(st.lists(st.floats(-10, 10), min_size=1, max_size=3))
+    offsets = st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6])
+    lam = [draw(st.sampled_from(centres)) + draw(offsets) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    m = q @ np.diag(lam) @ q.T
+    return (m + m.T) / 2
+
+
+SYMMETRIC = st.one_of(clustered_symmetric(), LAPLACIANS.map(lambda l: l.matrix))
+
+
+def same_outcome(ours, oracle):
+    """Both calls raise LinAlgError, or both return the same bits."""
+    try:
+        want = oracle()
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            ours()
+        return
+    got = ours()
+    want = want if isinstance(want, tuple) else (want,)
+    got = got if isinstance(got, tuple) else (got,)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+class TestLapackCalls:
+    """The direct LAPACK calls against scipy.linalg.eigh, which passes the
+    same routines the same arguments."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SYMMETRIC, st.data())
+    def test_evr_slice_and_top_match_scipy(self, m, data):
+        n = len(m)
+        w = data.draw(st.integers(1, n))  # w = n is the full-width slice
+        same_outcome(lambda: spectral._evr(m, 0, w - 1),
+                     lambda: scipy.linalg.eigh(m, subset_by_index=[0, w - 1], driver="evr"))
+        same_outcome(lambda: spectral._evr(m, n - 1, n - 1, compute_v=False)[0],
+                     lambda: scipy.linalg.eigh(m, eigvals_only=True,
+                                               subset_by_index=[n - 1, n - 1], driver="evr"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(SYMMETRIC, st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, -1e-3]))
+    def test_gvd_matches_scipy(self, a, seed, shift):
+        # b = c c^T + shift I: positive definite for a positive shift, and
+        # for the negative one when c is rank deficient or has small singular values
+        n = len(a)
+        c = np.random.default_rng(seed).standard_normal((n, max(1, n - 1)))
+        b = c @ c.T + shift * np.eye(n)
+        same_outcome(lambda: spectral._gvd_values(a, b),
+                     lambda: scipy.linalg.eigh(a, b, eigvals_only=True))
+
+    def test_k5_slice_fails_in_both(self):
+        m = k5_in_seven()
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.eigh(m, subset_by_index=[0, 3], driver="evr")
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral._evr(m, 0, 3)
+
+    def test_non_positive_definite_b_fails_in_both(self):
+        a, b = np.eye(3), np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.eigh(a, b, eigvals_only=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral._gvd_values(a, b)
 
 
 class TestGftIgft:
