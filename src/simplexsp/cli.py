@@ -227,6 +227,9 @@ def cmd_filter(args):
 
 def cmd_learn(args):
     g = load_graph(args.graph, args.invert_similarity)
+    if args.signals:
+        _, signals = load_signals(args.signals)
+        _check_rows(args.signals, signals, g.n)
     family = build_family(g, p=args.p, num_bands=args.bands, seed=args.seed, mode=args.mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,7 +239,6 @@ def cmd_learn(args):
         save_matrix_csv(family.laplacian(i).matrix, outputs[-1])
     inputs = [args.graph]
     if args.signals:
-        _, signals = load_signals(args.signals)
         b, errors = select_model(family, signals, args.r1)
         rows = [[i, repr(float(e)), int(i == b)] for i, e in enumerate(errors)]
         outputs.append(_write_table(out_dir / "residuals.csv", ["level", "residual", "selected"], rows))
@@ -341,6 +343,7 @@ def cmd_diagnose(args):
 def cmd_fit_filter(args):
     g = load_graph(args.graph, args.invert_similarity)
     _, signals = load_signals(args.signals)
+    _check_rows(args.signals, signals, g.n)
     if signals.shape[1] < 2:
         raise ParseError("fit-filter needs two signal columns (input, target)")
     family = build_family(g, p=args.p, num_bands=args.bands, seed=args.seed)

@@ -132,7 +132,8 @@ def save_complex(x: SimplicialComplex, path) -> None:
 
 
 def load_signals(path):
-    """Signal CSV: one column per signal, optional header row of vertex ids.
+    """Signal CSV: one column per signal, optional header row of vertex ids;
+    every value must be finite.
 
     Returns (vertex_ids or None, array of shape n x num_signals).
     """
@@ -144,12 +145,15 @@ def load_signals(path):
             if not row or not any(cell.strip() for cell in row):
                 continue
             try:
-                rows.append([float(c) for c in row])
+                values = [float(c) for c in row]
             except ValueError:
                 if lineno == 1:
                     header = [_coerce_vertex(c) for c in row]
-                else:
-                    raise ParseError(f"{path}:{lineno}: non-numeric signal value in {row}")
+                    continue
+                raise ParseError(f"{path}:{lineno}: non-numeric signal value in {row}")
+            if not np.isfinite(values).all():
+                raise ParseError(f"{path}:{lineno}: non-finite signal value in {row}")
+            rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no signal rows")
     width = len(rows[0])

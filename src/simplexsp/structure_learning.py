@@ -53,14 +53,12 @@ class LaplacianFamily:
     X_i is the graph plus the triangles of ``batches[:i]``.  ``base`` is L_0;
     ``updates`` holds per batch (rows, cols, values, fills): the Laplacian
     entries the batch touched with their values after it, and the vertex
-    pairs it added with their lengths, in order of first use.  ``rank`` numbers
-    the triangles in the vertex order, the order provenance lists them in.
+    pairs it added with their lengths, in order of first use.
     """
 
     graph: WeightedGraph
     base: np.ndarray
     updates: list
-    rank: dict
     batches: list
     queue: TriangleQueue
     seed: int = 0
@@ -75,12 +73,13 @@ class LaplacianFamily:
             raise ComplexError(f"level must lie in 0..{self.p}, got {i}")
 
     def laplacian(self, i: int) -> GeneralizedLaplacian:
-        """The Laplacian of X_i, a fresh matrix on every call."""
+        """The Laplacian of X_i, a fresh matrix on every call; provenance in vertex order."""
         self._check(i)
         m = self.base.copy()
         for rows, cols, values, _ in self.updates[:i]:
             m[rows, cols] = values
-        triangles = sorted(itertools.chain(*self.batches[:i]), key=self.rank.__getitem__)
+        idx = self.graph.index
+        triangles = sorted(itertools.chain(*self.batches[:i]), key=lambda t: [idx[v] for v in t])
         return GeneralizedLaplacian(m, self.graph.vertices, tuple(triangles))
 
     def complex(self, i: int) -> SimplicialComplex:
@@ -242,7 +241,6 @@ def build_family(
     idx = g.index
     base = g.laplacian_matrix()
     lap = base.copy()
-    rank = {t: k for k, t in enumerate(sorted(queue.entries, key=lambda t: [idx[v] for v in t]))}
     # rows of the vertex pairs so far; False for a graph edge no triangle covers
     covered = {(idx[u], idx[v]): False for u, v in g.edges}
     updates = []
@@ -269,7 +267,21 @@ def build_family(
         rows, cols = np.divmod(np.unique(rows * len(base) + cols), len(base))
         updates.append((rows, cols, lap[rows, cols], fills))
 
-    return LaplacianFamily(g, base, updates, rank, batches, queue, seed)
+    return LaplacianFamily(g, base, updates, batches, queue, seed)
+
+
+def _low_band_residual(spectrum: Spectrum, signals: np.ndarray, r: float) -> np.ndarray:
+    """The signal columns less their projection onto the first
+    max(1, round(r n)) eigenvectors; a vector is one signal."""
+    if not 0 < r <= 1:
+        raise ComplexError(f"the low-band fraction must lie in (0, 1], got {r}")
+    signals = np.asarray(signals, dtype=float)
+    if signals.ndim == 1:
+        signals = signals[:, None]
+    if signals.shape[1] == 0:
+        raise ComplexError("empty signal set")
+    v = spectrum.lowest(max(1, int(round(r * spectrum.n))))
+    return signals - v @ (v.T @ signals)
 
 
 def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
@@ -278,20 +290,9 @@ def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
     Keeps the first k = max(1, round(r1 n)) eigenvectors per level; ties go
     to the smaller level index.
     """
-    if not 0 < r1 <= 1:
-        raise ComplexError(f"r1 must lie in (0, 1], got {r1}")
     signals = np.asarray(signals, dtype=float)
-    if signals.ndim == 1:
-        signals = signals[:, None]
-    if signals.shape[1] == 0:
-        raise ComplexError("empty signal set")
-    n = signals.shape[0]
-    k = max(1, int(round(r1 * n)))
-    errors = np.empty(family.p + 1)
-    for i in range(family.p + 1):
-        v = family.spectrum(i).eigenvectors[:, :k]
-        resid = signals - v @ (v.T @ signals)
-        errors[i] = float(np.sum(resid**2))
+    errors = np.array([np.sum(_low_band_residual(family.spectrum(i), signals, r1) ** 2)
+                       for i in range(family.p + 1)])
     # round-off keeps equal residuals from comparing equal; tie within a
     # tiny relative margin of the minimum and take the earliest level
     tol = 1e-12 * max(1.0, float(np.sum(signals**2)))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex_core import ComplexError, SimplicialComplex, WeightedGraph, enumerate_candidate_triangles
-from .spectral import Spectrum, eigendecompose, gft
-from .structure_learning import LaplacianFamily, select_model
+from .spectral import Spectrum, eigendecompose
+from .structure_learning import LaplacianFamily, _low_band_residual, select_model
 
 __all__ = [
     "AnomalyVerdict",
@@ -36,23 +36,10 @@ __all__ = [
 ]
 
 
-def _low_band(n: int, r: float) -> int:
-    return max(1, int(round(r * n)))
-
-
 def compression_error(spectrum: Spectrum, signals: np.ndarray, r2: float) -> float:
     """Sum over signals of the l2 norm (not squared) of the residual after
     projecting onto the first max(1, round(r2 n)) eigenvectors."""
-    if not 0 < r2 <= 1:
-        raise ComplexError(f"r2 must lie in (0, 1], got {r2}")
-    signals = np.asarray(signals, dtype=float)
-    if signals.ndim == 1:
-        signals = signals[:, None]
-    if signals.shape[1] == 0:
-        raise ComplexError("empty signal set")
-    v = spectrum.lowest(_low_band(spectrum.n, r2))
-    resid = signals - v @ (v.T @ signals)
-    return float(np.linalg.norm(resid, axis=0).sum())
+    return float(np.linalg.norm(_low_band_residual(spectrum, signals, r2), axis=0).sum())
 
 
 def generate_bandlimited_set(
@@ -62,7 +49,7 @@ def generate_bandlimited_set(
     eigenbasis, with standard normal coefficients."""
     if count < 1:
         raise ComplexError(f"count must be >= 1, got {count}")
-    k = _low_band(spectrum.n, r)
+    k = max(1, int(round(r * spectrum.n)))
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal((k, count))
     sig = spectrum.lowest(k) @ coeff
@@ -130,31 +117,29 @@ def perturb_node(signal: np.ndarray, vertex: int, magnitude: float, seed: int = 
 
 @dataclass
 class AnomalyVerdict:
+    """``a`` is the largest high-frequency magnitude of the baselines and
+    ``b`` that of the test signal, flagged when b/a > 1 + epsilon; S2 and S4
+    leave both NaN and keep one verdict per level in ``per_level``.  For a
+    test-signal matrix ``b`` and ``flagged`` hold one entry per column."""
+
     a: float
-    b: float
-    flagged: bool | None
+    b: float | np.ndarray
+    flagged: bool | np.ndarray | None
     strategy: str = "S1"
     level: int | None = None
     per_level: list = field(default_factory=list)
 
 
-def _high_freq_max(spectrum: Spectrum, x: np.ndarray, r: float) -> float:
+def _single_verdict(spectrum, baselines, tests, r, epsilon, strategy, level):
     cut = int(round(r * spectrum.n))  # 1-based: keep indices k > cut
+    signals = np.column_stack([*baselines, tests])
     if cut >= spectrum.n:
-        return 0.0
-    xhat = gft(spectrum, x)
-    if xhat.shape[0] < spectrum.n:
-        raise IndexError("the high band needs a full spectrum")
-    return float(np.abs(xhat[cut:]).max())
-
-
-def _single_verdict(spectrum, baselines, test_signal, r, epsilon, strategy, level):
-    a = max(_high_freq_max(spectrum, x, r) for x in baselines)
-    b = _high_freq_max(spectrum, test_signal, r)
-    if a == 0.0:
-        flagged = b > 0.0
-    else:
-        flagged = b / a > 1.0 + epsilon
+        peaks = np.zeros(signals.shape[1])
+    else:  # the high band needs a full spectrum
+        peaks = np.abs(spectrum.lowest(spectrum.n)[:, cut:].T @ signals).max(axis=0)
+    a = float(peaks[: len(baselines)].max())
+    b = peaks[len(baselines):] if tests.ndim == 2 else float(peaks[-1])
+    flagged = b > 0.0 if a == 0.0 else b / a > 1.0 + epsilon
     return AnomalyVerdict(a, b, flagged, strategy, level)
 
 
@@ -169,32 +154,31 @@ def detect_anomaly(
 ) -> AnomalyVerdict:
     """High-frequency magnitude test: flag when b/a > 1 + epsilon.
 
+    ``test_signal`` is one signal or a matrix of them, one per column.
     ``source`` is a Spectrum for single-operator use, or a LaplacianFamily
     for the family strategies: S1 uses level 0, S3 a fixed ``level`` in
     0..p, S2 only reports the per-level verdicts (``flagged`` is None), S4
     flags when at least a third of the levels flag individually.
     """
     baselines = [np.asarray(x, dtype=float) for x in baseline_signals]
-    test_signal = np.asarray(test_signal, dtype=float)
+    tests = np.asarray(test_signal, dtype=float)
     if isinstance(source, Spectrum):
-        return _single_verdict(source, baselines, test_signal, r, epsilon, strategy, level)
+        return _single_verdict(source, baselines, tests, r, epsilon, strategy, level)
     family: LaplacianFamily = source
     if strategy == "S1":
-        return _single_verdict(family.spectrum(0), baselines, test_signal, r, epsilon, "S1", 0)
+        return _single_verdict(family.spectrum(0), baselines, tests, r, epsilon, "S1", 0)
     if strategy == "S3":
         if level is None or not 0 <= level <= family.p:
             raise ComplexError(f"strategy S3 needs a level in 0..{family.p}, got {level}")
-        return _single_verdict(
-            family.spectrum(level), baselines, test_signal, r, epsilon, "S3", level
-        )
+        return _single_verdict(family.spectrum(level), baselines, tests, r, epsilon, "S3", level)
     if strategy in ("S2", "S4"):
         per_level = [
-            _single_verdict(family.spectrum(i), baselines, test_signal, r, epsilon, strategy, i)
+            _single_verdict(family.spectrum(i), baselines, tests, r, epsilon, strategy, i)
             for i in range(family.p + 1)
         ]
         if strategy == "S2":
             return AnomalyVerdict(np.nan, np.nan, None, "S2", None, per_level)
-        votes = sum(1 for v in per_level if v.flagged)
+        votes = sum(v.flagged for v in per_level)
         need = -(-(family.p + 1) // 3)  # ceil((p+1)/3)
         return AnomalyVerdict(np.nan, np.nan, votes >= need, "S4", None, per_level)
     raise ComplexError(f"unknown strategy {strategy!r}")
@@ -228,16 +212,18 @@ def detection_rates(
         raise ComplexError("detection_rates needs distinct magnitudes and strategies")
     rng = np.random.default_rng(seed)
     rates = {(m, s): 0 for m in magnitudes for s in strategies}
+    if not rates:  # no magnitude or no strategy: nothing to count
+        return rates
     for trial in range(trials):
         sigs = generate_smooth_signals(truth, 4, amplitude=amplitude, seed=seed + 10_000 + trial)
-        baselines = [sigs[:, j] for j in range(3)]
         vertex = int(rng.integers(0, truth.n))
-        for mag in magnitudes:
-            anomalous = perturb_node(sigs[:, 3], vertex, mag, seed + trial)
-            for strat in strategies:
-                verdict = detect_anomaly(family, baselines, anomalous, r, epsilon, strat, level)
-                if verdict.flagged:
-                    rates[(mag, strat)] += 1
+        tests = np.column_stack(
+            [perturb_node(sigs[:, 3], vertex, mag, seed + trial) for mag in magnitudes]
+        )
+        for strat in strategies:
+            verdict = detect_anomaly(family, sigs[:, :3].T, tests, r, epsilon, strat, level)
+            for mag, flagged in zip(magnitudes, verdict.flagged):
+                rates[(mag, strat)] += int(flagged)
     return rates
 
 
@@ -292,7 +278,8 @@ def denoise_labels(
 
     Coefficients from 1-based index max(2, round(r n)) on are scaled by s,
     which is s x + (1 - s) V V^T x over the kept columns V: a partial
-    spectrum holding them is enough.
+    spectrum holding them is enough.  A label matrix is denoised column by
+    column, each column's class count defaulting to its largest rounded label.
     """
     cut = _denoise_cut(spectrum.n, r, s, num_classes)
     noisy = np.asarray(noisy_labels, dtype=float)
@@ -300,7 +287,7 @@ def denoise_labels(
     recovered = s * noisy + (1 - s) * (v @ (v.T @ noisy))
     labels = np.rint(recovered).astype(int)
     if num_classes is None:
-        num_classes = max(1, int(np.rint(noisy.max())))
+        num_classes = np.maximum(1, np.rint(noisy.max(axis=0)).astype(int))
     return np.clip(labels, 1, num_classes)
 
 
@@ -317,7 +304,8 @@ def denoise_best_fractions(
 ) -> dict:
     """For each SNR, the share of trials in which each level recovers the
     most labels; a tie splits the trial equally among the tied levels.
-    SNRs must not repeat.  Each level is solved once, for its kept band."""
+    SNRs must not repeat.  Each level is solved once, for its kept band,
+    and denoises all trials of an SNR at once, one trial per column."""
     if trials < 1:
         raise ComplexError(f"need at least one trial, got {trials}")
     if len(set(snrs)) < len(snrs):
@@ -325,20 +313,21 @@ def denoise_best_fractions(
         raise ComplexError("denoise_best_fractions needs distinct SNRs")
     cut = _denoise_cut(family.graph.n, r, s, num_classes)
     spectra = [eigendecompose(family.laplacian(i), upto=cut - 1) for i in range(family.p + 1)]
-    truth = labels.astype(int)
+    truth = labels.astype(int)[:, None]
     best_frac = {}
     for snr in snrs:
+        noisy = np.column_stack(
+            [inject_label_noise(labels, fraction, snr, seed + 31 * t) for t in range(trials)]
+        )
+        # correct[i, trial]: labels level i recovers in that trial
+        correct = np.array([
+            np.sum(denoise_labels(spectrum, noisy, r, s, num_classes) == truth, axis=0)
+            for spectrum in spectra
+        ])
         best_counts = np.zeros(family.p + 1)
-        for trial in range(trials):
-            noisy = inject_label_noise(labels, fraction, snr, seed + 31 * trial)
-            correct = [
-                int(np.sum(denoise_labels(spectrum, noisy, r, s, num_classes) == truth))
-                for spectrum in spectra
-            ]
-            best = max(correct)
-            winners = [i for i, c in enumerate(correct) if c == best]
-            for i in winners:
-                best_counts[i] += 1.0 / len(winners)
+        for counts in correct.T:
+            winners = np.flatnonzero(counts == counts.max())
+            best_counts[winners] += 1.0 / len(winners)
         best_frac[snr] = (best_counts / trials).tolist()
     return best_frac
 

@@ -15,8 +15,10 @@ from simplexsp import (
     WeightedGraph,
     complex_laplacian,
     connected_components,
+    generate_smooth_signals,
     is_graph_type,
     maximal_simplices,
+    perturb_node,
     shape_constant,
     two_simplex_closed_form,
 )
@@ -220,6 +222,55 @@ def denoise_labels_full(
     if num_classes is None:
         num_classes = max(1, int(np.rint(noisy.max())))
     return np.clip(labels, 1, num_classes)
+
+
+def _high_freq_max(spectrum: Spectrum, x: np.ndarray, r: float) -> float:
+    cut = int(round(r * spectrum.n))  # 1-based: keep indices k > cut
+    if cut >= spectrum.n:
+        return 0.0
+    return float(np.abs(gft(spectrum, x)[cut:]).max())
+
+
+def detect_anomaly_per_signal(family, baselines, test_signal, r, epsilon, strategy, level=None):
+    """The verdict of S1, S3 or S4 for one test signal.
+
+    Reference for :func:`simplexsp.tasks.detect_anomaly` on a family: one
+    ``gft`` per signal and level, the baselines' maxima recomputed each time.
+    """
+
+    def flagged(i):
+        spectrum = family.spectrum(i)
+        a = max(_high_freq_max(spectrum, x, r) for x in baselines)
+        b = _high_freq_max(spectrum, test_signal, r)
+        return b > 0.0 if a == 0.0 else b / a > 1.0 + epsilon
+
+    if strategy == "S1":
+        return flagged(0)
+    if strategy == "S3":
+        return flagged(level)
+    votes = sum(1 for i in range(family.p + 1) if flagged(i))
+    return votes >= -(-(family.p + 1) // 3)
+
+
+def detection_rates_per_signal(family, truth, magnitudes, strategies, trials, r, epsilon,
+                               amplitude, level=None, seed=0):
+    """Flag counts per (magnitude, strategy).
+
+    Reference for :func:`simplexsp.tasks.detection_rates`: one
+    :func:`detect_anomaly_per_signal` call per trial, magnitude and strategy.
+    """
+    rng = np.random.default_rng(seed)
+    rates = {(m, s): 0 for m in magnitudes for s in strategies}
+    for trial in range(trials):
+        sigs = generate_smooth_signals(truth, 4, amplitude=amplitude, seed=seed + 10_000 + trial)
+        baselines = [sigs[:, j] for j in range(3)]
+        vertex = int(rng.integers(0, truth.n))
+        for mag in magnitudes:
+            anomalous = perturb_node(sigs[:, 3], vertex, mag, seed + trial)
+            for strat in strategies:
+                if detect_anomaly_per_signal(family, baselines, anomalous, r, epsilon, strat, level):
+                    rates[(mag, strat)] += 1
+    return rates
 
 
 def _triangle_membership(x):

@@ -438,6 +438,55 @@ def run_config(tmp_path, command, cfg):
     return main([command, "--config", str(cfgp)])
 
 
+SIGNAL_COMMANDS = ["learn", "fit-filter", "filter", "compress", "denoise"]
+
+
+def run_signals(tmp_path, command, text):
+    """Run a command that reads a signal CSV holding ``text`` on the
+    six-vertex graph; every output goes in tmp_path / "out"."""
+    graph = tmp_path / "g.csv"
+    graph.write_text(SIX_VERTEX_EDGES)
+    sig = tmp_path / "sig.csv"
+    sig.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command in ("compress", "denoise"):
+        key = "signals" if command == "compress" else "labels"
+        return run_config(tmp_path, command, {key: str(sig)})
+    if command == "filter":
+        lap = tmp_path / "lap.csv"
+        assert main(["laplacian", "--complex", str(graph), "--out", str(lap)]) == 0
+        return main(["filter", "--laplacian", str(lap), "--signals", str(sig), "--poly", "1",
+                     "--out", str(out / "f.csv")])
+    target = out if command == "learn" else out / "fit.json"
+    return main([command, "--graph", str(graph), "--signals", str(sig), "--p", "2",
+                 "--out", str(target)])
+
+
+class TestSignalFiles:
+    @pytest.mark.parametrize("command", SIGNAL_COMMANDS)
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["1,2", "nan,1", "1,2", "2,1", "2,2", "1,1"], 2),
+            (["1,2", "1,2", "inf,1", "2,1", "2,2", "1,1"], 3),
+            (["1,2", "1,2", "1,2", "2,-inf", "2,2", "1,1"], 4),
+            (["1,2", "1,2", "1,2", "2,1", "1e400,2", "1,1"], 5),
+            (["1,2", "1,2", "2,1", "2,2"], None),
+            (["1,2", "1,2", "1,2", "2,1", "2,2", "1,1", "2,1", "1,2"], None),
+        ],
+        ids=["nan", "inf", "minus-inf", "overflow", "4-rows", "8-rows"],
+    )
+    def test_bad_signals_exit_2(self, tmp_path, capsys, command, rows, line):
+        rc = run_signals(tmp_path, command, "\n".join(rows) + "\n")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simplexsp: ")
+        assert (f"sig.csv:{line}: non-finite" if line else "need one per vertex (6)") in err
+        # the signals are read before anything is written
+        assert not any((tmp_path / "out").iterdir())
+
+
 class TestExperimentConfigs:
     @pytest.mark.parametrize(
         "command, cfg, key",
@@ -515,21 +564,32 @@ DENOISE_KEYS = {
     "s": FRACTIONS | ODD_VALUES,
     "snr_db": st.lists(st.floats(-5, 5) | ODD_VALUES, max_size=2) | ODD_VALUES,
 }
+# signal files on the six-vertex graph: 1 to 9 rows of two values, some of
+# them non-finite
+SIGNAL_ROWS = st.lists(
+    st.tuples(*[st.floats(-5, 5) | st.sampled_from([math.nan, math.inf, -math.inf])] * 2),
+    min_size=1, max_size=9,
+)
 FUZZ_RUNS = st.one_of(
     st.tuples(st.just("filter"), st.sampled_from(["--band", "--poly"]),
               st.text(alphabet="0123456789:,.-+eEinfa ", max_size=8)),
     st.tuples(st.just("detect"), st.fixed_dictionaries({}, optional=DETECT_KEYS)),
     st.tuples(st.just("denoise"), st.fixed_dictionaries({}, optional=DENOISE_KEYS)),
+    st.tuples(st.just("signals"), st.sampled_from(SIGNAL_COMMANDS), SIGNAL_ROWS),
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(FUZZ_RUNS)
 def test_cli_fuzz_exits_0_2_or_3(run):
-    """No filter option or experiment config value makes the CLI raise."""
+    """No filter option, experiment config value or signal file makes the
+    CLI raise."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if run[0] == "filter":
+        if run[0] == "signals":
+            _, command, rows = run
+            rc = run_signals(tmp, command, "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        elif run[0] == "filter":
             _, option, text = run
             cx = write_triangle_complex(tmp)
             lap = tmp / "lap.csv"

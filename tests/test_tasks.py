@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexsp import (
     AnomalyVerdict,
@@ -26,7 +28,16 @@ from simplexsp import (
 )
 
 from conftest import random_metric_complex
-from oracles import denoise_labels_full
+from oracles import denoise_labels_full, detection_rates_per_signal
+
+
+def random_family(seed, p):
+    """A family of p levels on a connected random metric graph of 6 to 14
+    vertices, and that graph."""
+    rng = np.random.default_rng(seed)
+    g = random_metric_complex(rng, n=int(rng.integers(6, 15)), edge_prob=0.6,
+                              triangle_prob=1.0, connected=True).graph()
+    return build_family(g, p=p, seed=seed % 1000), g
 
 
 def trivial_spectrum(n):
@@ -193,6 +204,29 @@ class TestDetectAnomaly:
         need = -(-(fam.p + 1) // 3)
         assert v.flagged == (votes >= need)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from(["S1", "S2", "S3", "S4"]),
+           st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1), st.floats(0, 0.3))
+    def test_matrix_matches_vector_calls(self, seed, k, strategy, r, epsilon):
+        fam, g = random_family(seed, 2)
+        rng = np.random.default_rng(seed)
+        base = list(rng.standard_normal((3, g.n)))
+        tests = rng.standard_normal((g.n, k))
+        matrix = detect_anomaly(fam, base, tests, r, epsilon, strategy, level=1)
+        vectors = [detect_anomaly(fam, base, tests[:, j], r, epsilon, strategy, level=1)
+                   for j in range(k)]
+        if strategy == "S2":
+            assert matrix.flagged is None
+        else:
+            assert list(matrix.flagged) == [v.flagged for v in vectors]
+        for j, vector in enumerate(vectors):
+            assert strategy == "S2" or type(vector.flagged) is bool
+            # S2 and S4 compare every level's verdict
+            for m, v in zip(matrix.per_level or [matrix], vector.per_level or [vector]):
+                assert type(v.b) is float and m.flagged[j] == v.flagged
+                np.testing.assert_allclose(m.a, v.a, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(m.b[j], v.b, rtol=1e-12, atol=0)
+
     def test_unknown_strategy(self, rng):
         fam = self._family(rng)
         with pytest.raises(ComplexError):
@@ -315,6 +349,22 @@ class TestDenoiseLabels:
                     denoise_labels(fam.spectrum(i), noisy, r, 0.9, 2), expected
                 )
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(0.01, 0.99), st.floats(0, 1),
+           st.sampled_from([None, 1, 2, 3]))
+    def test_matrix_matches_column_calls(self, seed, k, r, s, num_classes):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 20))
+        # a random orthonormal basis: its low band overshoots the labels, so
+        # each column's own class count matters
+        spectrum = Spectrum(np.arange(n, dtype=float), np.linalg.qr(rng.standard_normal((n, n)))[0])
+        scales = rng.integers(1, 4, size=k)
+        noisy = rng.integers(0, 4, size=(n, k)) * scales + rng.normal(0, 0.7, size=(n, k))
+        got = denoise_labels(spectrum, noisy, r, s, num_classes)
+        for j in range(k):
+            want = denoise_labels(spectrum, noisy[:, j], r, s, num_classes)
+            np.testing.assert_array_equal(got[:, j], want)
+
     def test_too_few_columns_rejected(self):
         g = two_cluster_graph(100, seed=13)
         kept = eigendecompose(complex_laplacian(SimplicialComplex(g.vertices, g.edges)), upto=4)
@@ -413,6 +463,21 @@ class TestExperimentHarnesses:
         rates = detection_rates(fam, truth, [5.0, 50.0], ["S1", "S3", "S4"], 3, 0.8, 0.05, 50.0, 1)
         assert set(rates) == {(m, s) for m in (5.0, 50.0) for s in ("S1", "S3", "S4")}
         assert all(0 <= hits <= 3 for hits in rates.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+           st.lists(st.floats(0, 60), min_size=1, max_size=4, unique=True),
+           st.lists(st.sampled_from(["S1", "S3", "S4"]), min_size=1, max_size=3, unique=True),
+           st.sampled_from([0.0, 0.8, 0.97, 1.0]) | st.floats(0, 1), st.floats(0, 0.3),
+           st.floats(0.1, 100), st.integers(0, 3))
+    @example(0, 2, [10.0, 50.0], ["S1", "S3", "S4"], 1.0, 0.05, 50.0, 1)  # cut = n: a == 0
+    def test_detection_rates_match_per_signal_oracle(
+        self, seed, p, magnitudes, strategies, r, epsilon, amplitude, level
+    ):
+        fam, g = random_family(seed, p)
+        truth = eigendecompose(complex_laplacian(planted_complex(g, 0.5, seed)))
+        args = (fam, truth, magnitudes, strategies, 3, r, epsilon, amplitude, min(level, p), seed)
+        assert detection_rates(*args) == detection_rates_per_signal(*args)
 
     def test_detection_rates_reject_s2(self, rng):
         fam, truth = self._setup(rng)
