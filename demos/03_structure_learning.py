@@ -37,7 +37,7 @@ print(f"Family: {family.p + 1} levels,",
 
 print("\nMedian eigenvalue per level (tends to drift down as triangles fill in):")
 for i in range(family.p + 1):
-    med = float(np.median(family.spectrum(i).eigenvalues))
+    med = float(np.median(eigendecompose(family.laplacian(i)).eigenvalues))
     print(f"  L_X{i:<2d}  {med:.4f}")
 
 # Pretend the world is the fully filled complex, generate smooth signals
@@ -52,7 +52,7 @@ for i, r in enumerate(residuals):
     marker = "  <- selected" if i == level else ""
     print(f"  L_X{i:<2d}  {r:.6f}{marker}")
 
-err_sel = compression_error(family.spectrum(level), signals, 0.3)
-err_0 = compression_error(family.spectrum(0), signals, 0.3)
+err_sel = compression_error(eigendecompose(family.laplacian(level)), signals, 0.3)
+err_0 = compression_error(eigendecompose(family.laplacian(0)), signals, 0.3)
 print(f"\nCompression error: level {level} = {err_sel:.4f}, level 0 = {err_0:.4f}")
 print(f"Gain over the plain graph: {100 * (1 - err_sel / err_0):.1f}%")

@@ -51,6 +51,7 @@ from .tasks import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+LABEL_MAX = 2**31 - 1  # class labels; the bound keeps their int casts and squares finite
 
 
 def _write_manifest(command: str, config: dict, inputs: list, outputs: list, seed, t0: float):
@@ -226,6 +227,8 @@ def cmd_filter(args):
 
 
 def cmd_learn(args):
+    if not 0 < args.r1 <= 1:
+        raise ParseError(f"--r1 {args.r1!r}: the low-band fraction must lie in (0, 1]")
     g = load_graph(args.graph, args.invert_similarity)
     if args.signals:
         _, signals = load_signals(args.signals)
@@ -321,6 +324,10 @@ def cmd_denoise(args):
         _, lab = load_signals(c.labels)
         _check_rows(c.labels, lab, g.n)
         labels = lab[:, 0]
+        bad = np.flatnonzero((labels != np.rint(labels)) | (np.abs(labels) > LABEL_MAX))
+        if bad.size:
+            raise ParseError(f"{c.labels}: data row {bad[0] + 1}: label {float(labels[bad[0]])!r} "
+                             f"is not an integer in [-{LABEL_MAX}, {LABEL_MAX}]")
         inputs.append(c.labels)
     else:
         labels = np.array([1 if v < g.n // 2 else 2 for v in range(g.n)], dtype=float)

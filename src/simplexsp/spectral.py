@@ -190,13 +190,14 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
         vals, vecs = solve(min(n, 2 * len(vals)))
 
 
-def eigendecompose(l, sym_tol: float = 1e-8, upto: int | None = None) -> Spectrum:
+def eigendecompose(l, upto: int | None = None) -> Spectrum:
     """Symmetric eigendecomposition with a deterministic convention.
 
     With ``upto=k`` below the order the spectrum is partial: it holds the k
     lowest pairs, and tie blocks are clipped to them.  Below
     PARTIAL_MAX_FRACTION of the order only those pairs are computed, by
-    LAPACK's MRRR routine (dsyevr).
+    LAPACK's MRRR routine (dsyevr).  The matrix must be symmetric within
+    1e-8 of max(1, its Frobenius norm).
     """
     m = _as_matrix(l)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -204,7 +205,7 @@ def eigendecompose(l, sym_tol: float = 1e-8, upto: int | None = None) -> Spectru
     if upto is not None and upto < 1:
         raise ValueError(f"upto must be >= 1, got {upto}")
     scale = _norm_scale(m)
-    if np.linalg.norm(m - m.T) > sym_tol * scale:
+    if np.linalg.norm(m - m.T) > 1e-8 * scale:
         raise NumericalError("matrix is not symmetric within tolerance")
     sym = (m + m.T) / 2.0
     k = len(sym) if upto is None else min(upto, len(sym))
@@ -291,12 +292,11 @@ def downsample_reconstruct(
     b: Iterable[int],
     sample_vertices: Sequence,
     samples: np.ndarray,
-    cond_limit: float = 1e12,
 ) -> np.ndarray:
     """Unique B-bandlimited signal matching the given samples.
 
-    Requires |sample_vertices| = |B| and a well-conditioned sampling
-    submatrix (raises :class:`NumericalError` otherwise).
+    Requires |sample_vertices| = |B| and a sampling submatrix of condition
+    number at most 1e12 (raises :class:`NumericalError` otherwise).
     """
     cols = s.band_columns(b)
     if s.vertices:
@@ -314,7 +314,7 @@ def downsample_reconstruct(
         )
     sub = s.eigenvectors[np.ix_(rows, cols)]
     cond = np.linalg.cond(sub) if cols.size else 0.0
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(
             f"these vertices cannot determine the band (condition number {cond:.3g})"
         )
@@ -391,26 +391,26 @@ class FilterFit(NamedTuple):
     residual: float
 
 
-def _fit_single(m: np.ndarray, x1: np.ndarray, x2: np.ndarray, b: int, ridge: float):
+def _fit_single(m: np.ndarray, x1: np.ndarray, x2: np.ndarray, b: int):
     feats = np.empty((len(x1), b))
     cur = x1
     for j in range(b):
         cur = m @ cur
         feats[:, j] = cur
-    gram = feats.T @ feats + ridge * np.eye(b)
+    gram = feats.T @ feats + 1e-10 * np.eye(b)
     coeffs = np.linalg.solve(gram, feats.T @ x2)
     residual = float(np.sum((feats @ coeffs - x2) ** 2))
     return coeffs, residual
 
 
 def fit_continuous_filter(
-    levels, x1: np.ndarray, x2: np.ndarray, b: int, t_grid: int = 21, ridge: float = 1e-10
+    levels, x1: np.ndarray, x2: np.ndarray, b: int, t_grid: int = 21
 ) -> FilterFit:
     """Grid search over interpolated Laplacians L = t L_i + (1-t) L_{i+1} of
     the sequence ``levels`` (matrices or GeneralizedLaplacians).
 
     The inner polynomial-coefficient problem is linear and solved exactly
-    (ridge-regularized normal equations); degree runs from 1 to b.
+    (normal equations with a 1e-10 ridge); degree runs from 1 to b.
     """
     if b < 1:
         raise ValueError(f"degree bound must be >= 1, got {b}")
@@ -420,13 +420,13 @@ def fit_continuous_filter(
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if len(mats) < 2:
-        coeffs, residual = _fit_single(mats[0], x1, x2, b, ridge)
+        coeffs, residual = _fit_single(mats[0], x1, x2, b)
         return FilterFit(0, 1.0, coeffs, residual)
     best: FilterFit | None = None
     for i in range(len(mats) - 1):
         for t in np.linspace(0.0, 1.0, t_grid):
             m = t * mats[i] + (1.0 - t) * mats[i + 1]
-            coeffs, residual = _fit_single(m, x1, x2, b, ridge)
+            coeffs, residual = _fit_single(m, x1, x2, b)
             if best is None or residual < best.residual:
                 best = FilterFit(i, float(t), coeffs, residual)
     return best

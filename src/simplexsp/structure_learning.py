@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class LaplacianFamily:
     batches: list
     queue: TriangleQueue
     seed: int = 0
-    _spectra: dict = field(default_factory=dict, repr=False)
 
     @property
     def p(self) -> int:
@@ -89,11 +88,6 @@ class LaplacianFamily:
         for *_, fills in self.updates[:i]:
             edges.update(fills)
         return SimplicialComplex(self.graph.vertices, edges, itertools.chain(*self.batches[:i]))
-
-    def spectrum(self, i: int) -> Spectrum:
-        if i not in self._spectra:
-            self._spectra[i] = eigendecompose(self.laplacian(i))
-        return self._spectra[i]
 
 
 def _triangle_size(t, weights) -> float:
@@ -284,20 +278,27 @@ def _low_band_residual(spectrum: Spectrum, signals: np.ndarray, r: float) -> np.
     return signals - v @ (v.T @ signals)
 
 
+def _best_level(errors: np.ndarray, signals: np.ndarray) -> int:
+    """The level of least residual; ties go to the smaller level index."""
+    # round-off keeps equal residuals from comparing equal; tie within a
+    # tiny relative margin of the minimum and take the earliest level
+    tol = 1e-12 * max(1.0, float(np.sum(signals**2)))
+    return int(np.nonzero(errors <= errors.min() + tol)[0][0])
+
+
 def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
     """argmin over levels of the total squared low-band projection residual.
 
     Keeps the first k = max(1, round(r1 n)) eigenvectors per level; ties go
-    to the smaller level index.
+    to the smaller level index.  Each level is solved once, and only one
+    level's spectrum is held at a time.
     """
     signals = np.asarray(signals, dtype=float)
-    errors = np.array([np.sum(_low_band_residual(family.spectrum(i), signals, r1) ** 2)
-                       for i in range(family.p + 1)])
-    # round-off keeps equal residuals from comparing equal; tie within a
-    # tiny relative margin of the minimum and take the earliest level
-    tol = 1e-12 * max(1.0, float(np.sum(signals**2)))
-    best = int(np.nonzero(errors <= errors.min() + tol)[0][0])
-    return best, errors
+    errors = np.array([
+        np.sum(_low_band_residual(eigendecompose(family.laplacian(i)), signals, r1) ** 2)
+        for i in range(family.p + 1)
+    ])
+    return _best_level(errors, signals), errors
 
 
 def family_manifest(family: LaplacianFamily) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .complex_core import ComplexError, SimplicialComplex, WeightedGraph, enumerate_candidate_triangles
 from .spectral import Spectrum, eigendecompose
-from .structure_learning import LaplacianFamily, _low_band_residual, select_model
+from .structure_learning import LaplacianFamily, _best_level, _low_band_residual
 
 __all__ = [
     "AnomalyVerdict",
@@ -72,35 +72,39 @@ def compression_trials(
     ``source`` is a Spectrum, from which each trial draws ``count``
     bandlimited signals at r1 to select the level and ``count`` more at r2
     to score it, or a fixed signal array that does both in a single trial.
+    The level is chosen as by ``select_model``.  Every trial is drawn
+    first; then each level is solved once and scores all of them.
     """
-    fixed = not isinstance(source, Spectrum)
+    if isinstance(source, Spectrum):
+        draws = [(generate_bandlimited_set(source, r1, count, seed + 1000 + trial),
+                  generate_bandlimited_set(source, r2, count, seed + 2000 + trial))
+                 for trial in range(trials)]
+    else:
+        draws = [(np.asarray(source, dtype=float),) * 2]
+    # [level, trial]: select_model's residual at r1 and the compression error at r2
+    residual = np.empty((family.p + 1, len(draws)))
+    error = np.empty_like(residual)
+    for i in range(family.p + 1):
+        spectrum = eigendecompose(family.laplacian(i))
+        for trial, (s1, s2) in enumerate(draws):
+            residual[i, trial] = np.sum(_low_band_residual(spectrum, s1, r1) ** 2)
+            error[i, trial] = compression_error(spectrum, s2, r2)
     rows = []
-    for trial in range(1 if fixed else trials):
-        if fixed:
-            s1 = s2 = source
-        else:
-            s1 = generate_bandlimited_set(source, r1, count, seed + 1000 + trial)
-            s2 = generate_bandlimited_set(source, r2, count, seed + 2000 + trial)
-        b, errors = select_model(family, s1, r1)
-        err_b = compression_error(family.spectrum(b), s2, r2)
-        err_0 = compression_error(family.spectrum(0), s2, r2)
-        rows.append([trial, b, err_b, err_0])
+    for trial, (s1, _) in enumerate(draws):
+        b = _best_level(residual[:, trial], s1)
+        rows.append([trial, b, float(error[b, trial]), float(error[0, trial])])
     return rows
 
 
 def generate_smooth_signals(
-    spectrum: Spectrum,
-    count: int,
-    band_fraction: float = 0.1,
-    noise_scale: float = 0.01,
-    amplitude: float = 1.0,
-    seed: int = 0,
+    spectrum: Spectrum, count: int, amplitude: float = 1.0, seed: int = 0
 ) -> np.ndarray:
-    """Low-band signals plus small white noise, a stand-in for slowly
-    varying sensor fields (temperature-like)."""
+    """Low-band signals (the lowest 10 % of the eigenbasis) plus white noise
+    of scale 0.01, a stand-in for slowly varying sensor fields
+    (temperature-like)."""
     rng = np.random.default_rng(seed)
-    base = generate_bandlimited_set(spectrum, band_fraction, count, seed)
-    noise = noise_scale * rng.standard_normal(base.shape) / np.sqrt(spectrum.n)
+    base = generate_bandlimited_set(spectrum, 0.1, count, seed)
+    noise = 0.01 * rng.standard_normal(base.shape) / np.sqrt(spectrum.n)
     return amplitude * base + noise
 
 
@@ -130,7 +134,7 @@ class AnomalyVerdict:
     per_level: list = field(default_factory=list)
 
 
-def _single_verdict(spectrum, baselines, tests, r, epsilon, strategy, level):
+def _single_verdict(spectrum, baselines, tests, r, epsilon, strategy="S1", level=None):
     cut = int(round(r * spectrum.n))  # 1-based: keep indices k > cut
     signals = np.column_stack([*baselines, tests])
     if cut >= spectrum.n:
@@ -141,6 +145,21 @@ def _single_verdict(spectrum, baselines, tests, r, epsilon, strategy, level):
     b = peaks[len(baselines):] if tests.ndim == 2 else float(peaks[-1])
     flagged = b > 0.0 if a == 0.0 else b / a > 1.0 + epsilon
     return AnomalyVerdict(a, b, flagged, strategy, level)
+
+
+def _strategy_levels(strategy: str, p: int, level: int | None) -> tuple:
+    """The levels a family strategy reads and how many of them must flag:
+    S1 reads level 0 and S3 ``level``, S2 and S4 every level; S4 flags when
+    at least a third of them do, and S2 has no verdict (None)."""
+    if strategy == "S1":
+        return [0], 1
+    if strategy == "S3":
+        if level is None or not 0 <= level <= p:
+            raise ComplexError(f"strategy S3 needs a level in 0..{p}, got {level}")
+        return [level], 1
+    if strategy in ("S2", "S4"):
+        return list(range(p + 1)), None if strategy == "S2" else -(-(p + 1) // 3)
+    raise ComplexError(f"unknown strategy {strategy!r}")
 
 
 def detect_anomaly(
@@ -156,32 +175,26 @@ def detect_anomaly(
 
     ``test_signal`` is one signal or a matrix of them, one per column.
     ``source`` is a Spectrum for single-operator use, or a LaplacianFamily
-    for the family strategies: S1 uses level 0, S3 a fixed ``level`` in
-    0..p, S2 only reports the per-level verdicts (``flagged`` is None), S4
-    flags when at least a third of the levels flag individually.
+    for the family strategies, whose levels are solved on every call: S1
+    uses level 0, S3 a fixed ``level`` in 0..p, S2 only reports the
+    per-level verdicts (``flagged`` is None), S4 flags when at least a third
+    of the levels flag individually.
     """
     baselines = [np.asarray(x, dtype=float) for x in baseline_signals]
     tests = np.asarray(test_signal, dtype=float)
     if isinstance(source, Spectrum):
         return _single_verdict(source, baselines, tests, r, epsilon, strategy, level)
     family: LaplacianFamily = source
-    if strategy == "S1":
-        return _single_verdict(family.spectrum(0), baselines, tests, r, epsilon, "S1", 0)
-    if strategy == "S3":
-        if level is None or not 0 <= level <= family.p:
-            raise ComplexError(f"strategy S3 needs a level in 0..{family.p}, got {level}")
-        return _single_verdict(family.spectrum(level), baselines, tests, r, epsilon, "S3", level)
-    if strategy in ("S2", "S4"):
-        per_level = [
-            _single_verdict(family.spectrum(i), baselines, tests, r, epsilon, strategy, i)
-            for i in range(family.p + 1)
-        ]
-        if strategy == "S2":
-            return AnomalyVerdict(np.nan, np.nan, None, "S2", None, per_level)
-        votes = sum(v.flagged for v in per_level)
-        need = -(-(family.p + 1) // 3)  # ceil((p+1)/3)
-        return AnomalyVerdict(np.nan, np.nan, votes >= need, "S4", None, per_level)
-    raise ComplexError(f"unknown strategy {strategy!r}")
+    levels, need = _strategy_levels(strategy, family.p, level)
+    per_level = [
+        _single_verdict(eigendecompose(family.laplacian(i)), baselines, tests, r, epsilon,
+                        strategy, i)
+        for i in levels
+    ]
+    if strategy in ("S1", "S3"):
+        return per_level[0]
+    flagged = None if need is None else sum(v.flagged for v in per_level) >= need
+    return AnomalyVerdict(np.nan, np.nan, flagged, strategy, None, per_level)
 
 
 def detection_rates(
@@ -202,7 +215,8 @@ def detection_rates(
     ``truth``: three baselines and one perturbed at a random vertex by each
     magnitude in turn.  ``level`` is the fixed level of S3.  S2 has no
     verdict of its own, so only S1, S3 and S4 are accepted, and magnitudes
-    and strategies must not repeat.
+    and strategies must not repeat.  Every trial is drawn first; then each
+    level a strategy reads is solved once and tests all of them.
     """
     for strat in strategies:
         if strat not in ("S1", "S3", "S4"):
@@ -210,20 +224,30 @@ def detection_rates(
     if len(set(magnitudes)) < len(magnitudes) or len(set(strategies)) < len(strategies):
         # a repeat would count its flags twice under one key
         raise ComplexError("detection_rates needs distinct magnitudes and strategies")
-    rng = np.random.default_rng(seed)
     rates = {(m, s): 0 for m in magnitudes for s in strategies}
     if not rates:  # no magnitude or no strategy: nothing to count
         return rates
+    plan = {strat: _strategy_levels(strat, family.p, level) for strat in strategies}
+    rng = np.random.default_rng(seed)
+    draws = []
     for trial in range(trials):
         sigs = generate_smooth_signals(truth, 4, amplitude=amplitude, seed=seed + 10_000 + trial)
         vertex = int(rng.integers(0, truth.n))
         tests = np.column_stack(
             [perturb_node(sigs[:, 3], vertex, mag, seed + trial) for mag in magnitudes]
         )
-        for strat in strategies:
-            verdict = detect_anomaly(family, sigs[:, :3].T, tests, r, epsilon, strat, level)
-            for mag, flagged in zip(magnitudes, verdict.flagged):
-                rates[(mag, strat)] += int(flagged)
+        draws.append((sigs[:, :3].T, tests))
+    flags = {}  # level -> [trial, magnitude] verdicts
+    for i in sorted({i for levels, _ in plan.values() for i in levels}):
+        spectrum = eigendecompose(family.laplacian(i))
+        flags[i] = np.reshape(
+            [_single_verdict(spectrum, base, tests, r, epsilon).flagged for base, tests in draws],
+            (trials, len(magnitudes)),
+        )
+    for strat, (levels, need) in plan.items():
+        hits = np.sum(sum(flags[i] for i in levels) >= need, axis=0)
+        for mag, count in zip(magnitudes, hits):
+            rates[(mag, strat)] = int(count)
     return rates
 
 

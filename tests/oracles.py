@@ -15,6 +15,7 @@ from simplexsp import (
     WeightedGraph,
     complex_laplacian,
     connected_components,
+    generate_bandlimited_set,
     generate_smooth_signals,
     is_graph_type,
     maximal_simplices,
@@ -29,7 +30,7 @@ from simplexsp.laplacian import (
     simplex_laplacian,
     star_expansion,
 )
-from simplexsp.spectral import SIGN_EPS, Spectrum, commutator_norm, gft, igft
+from simplexsp.spectral import SIGN_EPS, Spectrum, commutator_norm, eigendecompose, gft, igft
 
 
 def maximal_simplices_quadratic(x):
@@ -231,15 +232,20 @@ def _high_freq_max(spectrum: Spectrum, x: np.ndarray, r: float) -> float:
     return float(np.abs(gft(spectrum, x)[cut:]).max())
 
 
-def detect_anomaly_per_signal(family, baselines, test_signal, r, epsilon, strategy, level=None):
-    """The verdict of S1, S3 or S4 for one test signal.
+def family_spectra(family):
+    """The full spectrum of every level of a family, each solved once."""
+    return [eigendecompose(family.laplacian(i)) for i in range(family.p + 1)]
+
+
+def detect_anomaly_per_signal(spectra, baselines, test_signal, r, epsilon, strategy, level=None):
+    """The verdict of S1, S3 or S4 for one test signal on a family's spectra.
 
     Reference for :func:`simplexsp.tasks.detect_anomaly` on a family: one
     ``gft`` per signal and level, the baselines' maxima recomputed each time.
     """
 
     def flagged(i):
-        spectrum = family.spectrum(i)
+        spectrum = spectra[i]
         a = max(_high_freq_max(spectrum, x, r) for x in baselines)
         b = _high_freq_max(spectrum, test_signal, r)
         return b > 0.0 if a == 0.0 else b / a > 1.0 + epsilon
@@ -247,18 +253,22 @@ def detect_anomaly_per_signal(family, baselines, test_signal, r, epsilon, strate
     if strategy == "S1":
         return flagged(0)
     if strategy == "S3":
+        if level is None or not 0 <= level < len(spectra):
+            raise ComplexError(f"strategy S3 needs a level in 0..{len(spectra) - 1}, got {level}")
         return flagged(level)
-    votes = sum(1 for i in range(family.p + 1) if flagged(i))
-    return votes >= -(-(family.p + 1) // 3)
+    votes = sum(1 for i in range(len(spectra)) if flagged(i))
+    return votes >= -(-len(spectra) // 3)
 
 
 def detection_rates_per_signal(family, truth, magnitudes, strategies, trials, r, epsilon,
                                amplitude, level=None, seed=0):
     """Flag counts per (magnitude, strategy).
 
-    Reference for :func:`simplexsp.tasks.detection_rates`: one
-    :func:`detect_anomaly_per_signal` call per trial, magnitude and strategy.
+    Reference for :func:`simplexsp.tasks.detection_rates`: trial-major, one
+    :func:`detect_anomaly_per_signal` call per trial, magnitude and strategy
+    on spectra solved once for the family.
     """
+    spectra = family_spectra(family)
     rng = np.random.default_rng(seed)
     rates = {(m, s): 0 for m in magnitudes for s in strategies}
     for trial in range(trials):
@@ -268,9 +278,38 @@ def detection_rates_per_signal(family, truth, magnitudes, strategies, trials, r,
         for mag in magnitudes:
             anomalous = perturb_node(sigs[:, 3], vertex, mag, seed + trial)
             for strat in strategies:
-                if detect_anomaly_per_signal(family, baselines, anomalous, r, epsilon, strat, level):
+                if detect_anomaly_per_signal(spectra, baselines, anomalous, r, epsilon, strat, level):
                     rates[(mag, strat)] += 1
     return rates
+
+
+def compression_trials_trial_major(family, source, r1, r2, trials, count, seed=0):
+    """Rows [trial, selected level, its compression error, level 0's error].
+
+    Reference for :func:`simplexsp.tasks.compression_trials`: trial-major,
+    each trial selecting its level over spectra solved once for the family,
+    with the residuals, tie rule and errors written inline.
+    """
+    spectra = family_spectra(family)
+
+    def residual(spectrum, signals, r):
+        v = spectrum.lowest(max(1, int(round(r * spectrum.n))))
+        return signals - v @ (v.T @ signals)
+
+    rows = []
+    for trial in range(trials if isinstance(source, Spectrum) else 1):
+        if isinstance(source, Spectrum):
+            s1 = generate_bandlimited_set(source, r1, count, seed + 1000 + trial)
+            s2 = generate_bandlimited_set(source, r2, count, seed + 2000 + trial)
+        else:
+            s1 = s2 = source
+        errors = np.array([np.sum(residual(s, s1, r1) ** 2) for s in spectra])
+        tol = 1e-12 * max(1.0, float(np.sum(s1**2)))
+        b = int(np.nonzero(errors <= errors.min() + tol)[0][0])
+        err_b, err_0 = (float(np.linalg.norm(residual(spectra[i], s2, r2), axis=0).sum())
+                        for i in (b, 0))
+        rows.append([trial, b, err_b, err_0])
+    return rows
 
 
 def _triangle_membership(x):

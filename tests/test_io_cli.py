@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -244,6 +245,17 @@ class TestCli:
         assert rows[0] == "level,residual,selected"
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("r1", ["0", "-0.5", "1.5", "nan"])
+    def test_learn_bad_r1_writes_nothing(self, tmp_path, capsys, r1):
+        graph, sig, out = tmp_path / "g.csv", tmp_path / "sig.csv", tmp_path / "out"
+        graph.write_text(SIX_VERTEX_EDGES)
+        save_signals(np.ones((6, 2)), sig)
+        rc = main(["learn", "--graph", str(graph), "--signals", str(sig), "--p", "2",
+                   "--r1", r1, "--out", str(out)])
+        assert rc == 2
+        assert "--r1" in capsys.readouterr().err
+        assert not (out / "family.json").exists() and not list(out.glob("laplacian_*.csv"))
+
     def test_diagnose(self, tmp_path):
         cx = write_triangle_complex(tmp_path)
         out = tmp_path / "report.json"
@@ -487,6 +499,52 @@ class TestSignalFiles:
         assert not any((tmp_path / "out").iterdir())
 
 
+class TestLabels:
+    @pytest.mark.parametrize(
+        "label, row", [("1e300", 3), ("-1e300", 6), ("1.5", 3), ("2147483648", 6)],
+        ids=["huge", "minus-huge", "fractional", "past-int32"],
+    )
+    def test_bad_label_exit_2(self, tmp_path, capsys, label, row):
+        rows = ["1", "1", "1", "2", "2", "2"]
+        rows[row - 1] = label
+        assert run_signals(tmp_path, "denoise", "\n".join(rows) + "\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"simplexsp: {tmp_path / 'sig.csv'}: data row {row}: label ")
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_largest_label_runs(self, tmp_path):
+        assert run_signals(tmp_path, "denoise", "1\n1\n2147483647\n2\n2\n2\n") == 0
+
+
+# a fixed 16-vertex circulant graph with uneven lengths, and fixed signals on it
+GOLDEN_EDGES = "".join(
+    f"{i},{(i + d) % 16},{1 + (i * d % 7) / 10}\n" for i in range(16) for d in (1, 2, 5)
+)
+GOLDEN_SIGNALS = "".join(
+    ",".join(repr(((7 * i + 3 * j) % 11) / 11 - 0.5) for j in range(3)) + "\n" for i in range(16)
+)
+
+
+@pytest.mark.parametrize(
+    "cfg, sha256",
+    [
+        ({"trials": 3, "count": 4, "r1": 0.3, "r2": 0.5, "seed": 2},
+         "37412397e059f2b31727f60913bc9930f9171375217cd6c3c40cde5e270328be"),
+        ({"signals": "sig.csv", "r1": 0.25},
+         "d2bf40b858def79bcf3ad2058de4896dfd7fa42119bb4bd18ce29ecb658fdce0"),
+    ],
+    ids=["bandlimited", "signals"],
+)
+def test_compress_golden_output(tmp_path, monkeypatch, cfg, sha256):
+    """compression.csv keeps its bytes in both modes (no benchmark runs compress)."""
+    monkeypatch.chdir(tmp_path)
+    Path("g.csv").write_text(GOLDEN_EDGES)
+    Path("sig.csv").write_text(GOLDEN_SIGNALS)
+    Path("cfg.json").write_text(json.dumps({"graph": "g.csv", "p": 3, "out_dir": "out", **cfg}))
+    assert main(["compress", "--config", "cfg.json"]) == 0
+    assert hashlib.sha256(Path("out/compression.csv").read_bytes()).hexdigest() == sha256
+
+
 class TestExperimentConfigs:
     @pytest.mark.parametrize(
         "command, cfg, key",
@@ -570,12 +628,20 @@ SIGNAL_ROWS = st.lists(
     st.tuples(*[st.floats(-5, 5) | st.sampled_from([math.nan, math.inf, -math.inf])] * 2),
     min_size=1, max_size=9,
 )
+# label files for denoise: one column of class labels, some of them
+# fractional or too large for an int
+LABEL_ROWS = st.lists(
+    st.tuples(st.integers(-2, 3).map(float)
+              | st.sampled_from([1.5, 2.0**31 - 1, 2.0**31, 1e300, -1e300])),
+    min_size=6, max_size=6,
+)
 FUZZ_RUNS = st.one_of(
     st.tuples(st.just("filter"), st.sampled_from(["--band", "--poly"]),
               st.text(alphabet="0123456789:,.-+eEinfa ", max_size=8)),
     st.tuples(st.just("detect"), st.fixed_dictionaries({}, optional=DETECT_KEYS)),
     st.tuples(st.just("denoise"), st.fixed_dictionaries({}, optional=DENOISE_KEYS)),
     st.tuples(st.just("signals"), st.sampled_from(SIGNAL_COMMANDS), SIGNAL_ROWS),
+    st.tuples(st.just("signals"), st.just("denoise"), LABEL_ROWS),
 )
 
 
@@ -588,7 +654,7 @@ def test_cli_fuzz_exits_0_2_or_3(run):
         tmp = Path(tmp)
         if run[0] == "signals":
             _, command, rows = run
-            rc = run_signals(tmp, command, "".join(f"{a!r},{b!r}\n" for a, b in rows))
+            rc = run_signals(tmp, command, "".join(",".join(map(repr, row)) + "\n" for row in rows))
         elif run[0] == "filter":
             _, option, text = run
             cx = write_triangle_complex(tmp)

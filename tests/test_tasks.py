@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,11 +26,17 @@ from simplexsp import (
     inject_label_noise,
     perturb_node,
     planted_complex,
+    select_model,
     two_cluster_graph,
 )
 
 from conftest import random_metric_complex
-from oracles import denoise_labels_full, detection_rates_per_signal
+from oracles import (
+    compression_trials_trial_major,
+    denoise_labels_full,
+    detection_rates_per_signal,
+    family_spectra,
+)
 
 
 def random_family(seed, p):
@@ -172,7 +180,7 @@ class TestDetectAnomaly:
         base = [rng.standard_normal(12) for _ in range(3)]
         test = rng.standard_normal(12)
         v_fam = detect_anomaly(fam, base, test, r=0.5, epsilon=0.05, strategy="S1")
-        v_direct = detect_anomaly(fam.spectrum(0), base, test, r=0.5, epsilon=0.05)
+        v_direct = detect_anomaly(eigendecompose(fam.laplacian(0)), base, test, r=0.5, epsilon=0.05)
         assert (v_fam.a, v_fam.b, v_fam.flagged) == (v_direct.a, v_direct.b, v_direct.flagged)
         assert v_fam.level == 0
 
@@ -310,13 +318,14 @@ class TestDenoiseLabels:
         g = two_cluster_graph(100, seed=3)
         fam = build_family(g, p=10, seed=3)
         true = np.array([1.0] * 50 + [2.0] * 50)
+        spectra = family_spectra(fam)
         wins = 0
         for t in range(50):
             noisy = inject_label_noise(true, 0.6, 0.0, seed=900 + t)
             errors_in = int(np.sum(noisy != true))
             best = min(
-                int(np.sum(denoise_labels(fam.spectrum(i), noisy, 0.01, 0.9, 2) != true))
-                for i in range(fam.p + 1)
+                int(np.sum(denoise_labels(spectrum, noisy, 0.01, 0.9, 2) != true))
+                for spectrum in spectra
             )
             wins += best < errors_in
         assert wins >= 45
@@ -341,13 +350,12 @@ class TestDenoiseLabels:
         cut = max(2, round(r * 100))
         for i in range(fam.p + 1):
             kept = eigendecompose(fam.laplacian(i), upto=cut - 1)
+            full = eigendecompose(fam.laplacian(i))
             for trial in range(10):
                 noisy = inject_label_noise(labels, 0.6, 0.0, seed=seed + 31 * trial)
-                expected = denoise_labels_full(fam.spectrum(i), noisy, r, 0.9, 2)
+                expected = denoise_labels_full(full, noisy, r, 0.9, 2)
                 np.testing.assert_array_equal(denoise_labels(kept, noisy, r, 0.9, 2), expected)
-                np.testing.assert_array_equal(
-                    denoise_labels(fam.spectrum(i), noisy, r, 0.9, 2), expected
-                )
+                np.testing.assert_array_equal(denoise_labels(full, noisy, r, 0.9, 2), expected)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(0.01, 0.99), st.floats(0, 1),
@@ -445,18 +453,19 @@ class TestExperimentHarnesses:
         fam, truth = self._setup(rng)
         rows = compression_trials(fam, truth, 0.3, 0.2, trials=3, count=4, seed=2)
         assert [r[0] for r in rows] == [0, 1, 2]
+        spectra = family_spectra(fam)
         for trial, b, err_b, err_0 in rows:
             scored = generate_bandlimited_set(truth, 0.2, 4, 2 + 2000 + trial)
             assert 0 <= b <= fam.p
-            assert err_b == compression_error(fam.spectrum(b), scored, 0.2)
-            assert err_0 == compression_error(fam.spectrum(0), scored, 0.2)
+            assert err_b == compression_error(spectra[b], scored, 0.2)
+            assert err_0 == compression_error(spectra[0], scored, 0.2)
 
     def test_compression_trials_fixed_signals_run_once(self, rng):
         fam, _ = self._setup(rng)
         sig = rng.standard_normal((12, 3))
         rows = compression_trials(fam, sig, 0.3, 0.5, trials=5, count=4)
         assert len(rows) == 1
-        assert rows[0][3] == compression_error(fam.spectrum(0), sig, 0.5)
+        assert rows[0][3] == compression_error(eigendecompose(fam.laplacian(0)), sig, 0.5)
 
     def test_detection_rates_counts(self, rng):
         fam, truth = self._setup(rng)
@@ -469,15 +478,81 @@ class TestExperimentHarnesses:
            st.lists(st.floats(0, 60), min_size=1, max_size=4, unique=True),
            st.lists(st.sampled_from(["S1", "S3", "S4"]), min_size=1, max_size=3, unique=True),
            st.sampled_from([0.0, 0.8, 0.97, 1.0]) | st.floats(0, 1), st.floats(0, 0.3),
-           st.floats(0.1, 100), st.integers(0, 3))
+           st.floats(0.1, 100), st.integers(-1, 4))
     @example(0, 2, [10.0, 50.0], ["S1", "S3", "S4"], 1.0, 0.05, 50.0, 1)  # cut = n: a == 0
+    @example(0, 2, [10.0], ["S1", "S3"], 0.8, 0.05, 50.0, 3)  # S3 past the last level
     def test_detection_rates_match_per_signal_oracle(
         self, seed, p, magnitudes, strategies, r, epsilon, amplitude, level
     ):
         fam, g = random_family(seed, p)
         truth = eigendecompose(complex_laplacian(planted_complex(g, 0.5, seed)))
-        args = (fam, truth, magnitudes, strategies, 3, r, epsilon, amplitude, min(level, p), seed)
-        assert detection_rates(*args) == detection_rates_per_signal(*args)
+        args = (fam, truth, magnitudes, strategies, 3, r, epsilon, amplitude, level, seed)
+        if "S3" in strategies and not 0 <= level <= p:
+            for rates in (detection_rates, detection_rates_per_signal):
+                with pytest.raises(ComplexError):
+                    rates(*args)
+        else:
+            assert detection_rates(*args) == detection_rates_per_signal(*args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.floats(0.01, 1), st.floats(0.01, 1),
+           st.integers(1, 3), st.integers(1, 5), st.sampled_from(["spectrum", "signals", "constant"]))
+    @example(0, 2, 0.3, 0.3, 3, 4, "constant")  # every level ties: level 0 is selected
+    def test_compression_trials_match_trial_major_oracle(
+        self, seed, p, r1, r2, trials, count, source
+    ):
+        fam, g = random_family(seed, p)
+        if source == "spectrum":
+            source = eigendecompose(complex_laplacian(planted_complex(g, 0.5, seed)))
+        elif source == "signals":
+            source = np.random.default_rng(seed).standard_normal((g.n, count))
+        else:
+            source = np.full((g.n, count), 2.0)
+        args = (fam, source, r1, r2, trials, count, seed)
+        assert compression_trials(*args) == compression_trials_trial_major(*args)
+
+    def test_each_level_solved_once_per_call(self, monkeypatch):
+        fam, g = random_family(5, 4)
+        truth = eigendecompose(complex_laplacian(planted_complex(g, 0.5, 5)))
+        solved = []
+
+        def counting(l, **kwargs):
+            solved.append(l)
+            return eigendecompose(l, **kwargs)
+
+        for module in ("simplexsp.tasks", "simplexsp.structure_learning"):
+            monkeypatch.setattr(f"{module}.eigendecompose", counting)
+        detect = (fam, truth, [10.0, 50.0])
+        calls = [
+            (lambda: select_model(fam, truth.lowest(3), 0.3), fam.p + 1),
+            (lambda: compression_trials(fam, truth, 0.3, 0.2, 5, 4, 1), fam.p + 1),
+            (lambda: detection_rates(*detect, ["S1", "S3", "S4"], 5, 0.8, 0.05, 50.0, 2), fam.p + 1),
+            (lambda: detection_rates(*detect, ["S1", "S3"], 5, 0.8, 0.05, 50.0, 0), 1),
+            (lambda: detection_rates(*detect, ["S1", "S3"], 5, 0.8, 0.05, 50.0, 2), 2),
+        ]
+        for call, levels in calls:
+            solved.clear()
+            call()
+            assert len(solved) == levels
+
+    def test_tasks_leave_the_family_as_it_was(self):
+        # no task keeps a level's spectrum, whose eigenvectors take 8 n^2 bytes
+        g = two_cluster_graph(200, p_in=0.05, p_out=0.005, seed=0)
+
+        def run_tasks(fam):
+            truth = eigendecompose(fam.laplacian(fam.p))
+            select_model(fam, truth.lowest(10), 0.3)
+            compression_trials(fam, truth, 0.3, 0.3, 2, 4)
+            detection_rates(fam, truth, [10.0], ["S1", "S4"], 2, 0.8, 0.05, 50.0)
+
+        run_tasks(build_family(g, p=2))  # fills the graph's and the solvers' caches
+        tracemalloc.start()
+        fam = build_family(g, p=5)
+        before = tracemalloc.get_traced_memory()[0]
+        run_tasks(fam)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        assert held < 8 * g.n**2 / 10  # a few interpreter allocations at most
 
     def test_detection_rates_reject_s2(self, rng):
         fam, truth = self._setup(rng)
@@ -504,14 +579,15 @@ class TestExperimentHarnesses:
         labels = np.array([1.0] * 50 + [2.0] * 50)
         truth = labels.astype(int)
         snrs, trials = [2.0, 0.0, -2.0], 6
+        spectra = family_spectra(fam)
         expected = {}
         for snr in snrs:
             counts = np.zeros(fam.p + 1)
             for trial in range(trials):
                 noisy = inject_label_noise(labels, 0.6, snr, 13 + 31 * trial)
                 correct = [
-                    int(np.sum(denoise_labels_full(fam.spectrum(i), noisy, 0.01, 0.9, 2) == truth))
-                    for i in range(fam.p + 1)
+                    int(np.sum(denoise_labels_full(spectrum, noisy, 0.01, 0.9, 2) == truth))
+                    for spectrum in spectra
                 ]
                 winners = [i for i, c in enumerate(correct) if c == max(correct)]
                 for i in winners:
