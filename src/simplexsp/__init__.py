@@ -58,7 +58,6 @@ from .spectral import (
 )
 from .structure_learning import (
     LaplacianFamily,
-    TriangleQueue,
     build_family,
     family_manifest,
     filtration_bands,

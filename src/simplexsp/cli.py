@@ -230,22 +230,24 @@ def cmd_learn(args):
     if not 0 < args.r1 <= 1:
         raise ParseError(f"--r1 {args.r1!r}: the low-band fraction must lie in (0, 1]")
     g = load_graph(args.graph, args.invert_similarity)
+    inputs = [args.graph]
     if args.signals:
         _, signals = load_signals(args.signals)
         _check_rows(args.signals, signals, g.n)
+        inputs.append(args.signals)
     family = build_family(g, p=args.p, num_bands=args.bands, seed=args.seed, mode=args.mode)
+    # select before writing, so that a failure leaves no outputs
+    selected = select_model(family, signals, args.r1) if args.signals else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [_write_json(out_dir / "family.json", family_manifest(family), indent=1)]
     for i in range(family.p + 1):
         outputs.append(out_dir / f"laplacian_{i:02d}.csv")
         save_matrix_csv(family.laplacian(i).matrix, outputs[-1])
-    inputs = [args.graph]
-    if args.signals:
-        b, errors = select_model(family, signals, args.r1)
+    if selected:
+        b, errors = selected
         rows = [[i, repr(float(e)), int(i == b)] for i, e in enumerate(errors)]
         outputs.append(_write_table(out_dir / "residuals.csv", ["level", "residual", "selected"], rows))
-        inputs.append(args.signals)
     config = {"p": args.p, "bands": args.bands, "r1": args.r1, "mode": args.mode}
     return config, inputs, outputs, args.seed
 

@@ -23,6 +23,15 @@ from .laplacian import (
 )
 from .spectral import _gvd_values, _norm_scale, commutator_norm
 
+# tolerances at unit lengths; the entries compared against them scale with
+# the lengths, so each is multiplied by the longest edge length
+DISTINCTIVE_TOL = 1e-10
+GRAPH_TYPE_TOL = 1e-12
+RATIO_DEN_TOL = 1e-14
+# how far from 1 a length may lie in a unit-length complex
+UNIT_TOL = 1e-9
+RATIO_SAMPLES = 5
+
 __all__ = [
     "DiagnosticsReport",
     "DistinctiveResult",
@@ -141,25 +150,29 @@ class _Facts(NamedTuple):
     counts: tuple  # interior_counts
     distinctive: DistinctiveResult
     connected: bool
+    length: float  # the longest edge length, 1.0 without edges
 
 
-def _facts(x: SimplicialComplex, tol: float = 1e-10) -> _Facts:
+def _facts(x: SimplicialComplex) -> _Facts:
     inc = _incidence(x)
     l_x, l_g = complex_laplacian(x).matrix, x.graph().laplacian_matrix()
+    length = max(x.edges.values(), default=1.0)
     return _Facts(
         l_x,
         l_g,
         inc,
         _interior_counts(x.n, inc),
-        _distinctive(inc, l_x, l_g, tol),
+        _distinctive(inc, l_x, l_g, DISTINCTIVE_TOL * length),
         x.n > 0 and not _components(x.n, inc.edges).any(),
+        length,
     )
 
 
-def distinctive_check(x: SimplicialComplex, tol: float = 1e-10) -> DistinctiveResult:
+def distinctive_check(x: SimplicialComplex) -> DistinctiveResult:
     """Which of L_{X^1} - L_X / L_X - L_{X^1} is a graph Laplacian supported
-    on triangle edges (strictly negative off-diagonal there)."""
-    return _facts(x, tol).distinctive
+    on triangle edges (strictly negative off-diagonal there), within a
+    tolerance proportional to the longest edge length."""
+    return _facts(x).distinctive
 
 
 def _distinctive(inc: _Incidence, l_x, l_g, tol: float) -> DistinctiveResult:
@@ -250,18 +263,22 @@ class SandwichBounds(NamedTuple):
     k_max: int
 
 
-def sandwich_bounds(x: SimplicialComplex, unit_tol: float = 1e-9) -> SandwichBounds:
+def _unit(x: SimplicialComplex) -> bool:
+    return all(abs(w - 1.0) <= UNIT_TOL for w in x.edges.values())
+
+
+def sandwich_bounds(x: SimplicialComplex) -> SandwichBounds:
     """Empirical extremal Rayleigh quotients of (L_X, L_{X^1}).
 
     Computed on the orthocomplement of the constant vector of a connected,
     unit-edge-weight 2-complex.  The claimed bounds (k/3 factors) are
     reported alongside but never asserted.
     """
-    return _sandwich(x, _facts(x), unit_tol)
+    return _sandwich(x, _facts(x))
 
 
-def _sandwich(x, f: _Facts, unit_tol: float = 1e-9) -> SandwichBounds:
-    if any(abs(w - 1.0) > unit_tol for w in x.edges.values()):
+def _sandwich(x, f: _Facts) -> SandwichBounds:
+    if not _unit(x):
         raise ComplexError("sandwich bounds require unit edge weights")
     if not f.connected:
         raise ComplexError("sandwich bounds require a connected complex")
@@ -326,7 +343,7 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def diagnostics_report(x: SimplicialComplex, seed: int = 0, ratio_samples: int = 5) -> DiagnosticsReport:
+def diagnostics_report(x: SimplicialComplex) -> DiagnosticsReport:
     """Assemble the full diagnostics record for a 2-complex."""
     f = _facts(x)
     gammas = _shape_constants(*f.inc.tri_weights.T)
@@ -335,29 +352,28 @@ def diagnostics_report(x: SimplicialComplex, seed: int = 0, ratio_samples: int =
     prop1, certificate, comm = _certificate(x, f)
 
     sandwich = None
-    unit = all(abs(w - 1.0) <= 1e-9 for w in x.edges.values())
-    if unit and f.connected and x.n >= 2:
+    if _unit(x) and f.connected and x.n >= 2:
         sandwich = _sandwich(x, f)
 
     # empirical quadratic-form ratios <y, L_{X^1} y> / <x, L_X x> per triangle
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ratios = []
-    for w12, w13, w23 in f.inc.tri_weights[: max(1, ratio_samples)]:
+    for w12, w13, w23 in f.inc.tri_weights[:RATIO_SAMPLES]:
         l_tri = two_simplex_closed_form(w12, w13, w23).matrix
         l_tri_g = WeightedGraph(
             (1, 2, 3), {(1, 2): w12, (1, 3): w13, (2, 3): w23}
         ).laplacian_matrix()
-        for _ in range(ratio_samples):
+        for _ in range(RATIO_SAMPLES):
             v = rng.standard_normal(3)
             y = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
             num = float(y @ l_tri_g @ y)
             den = float(v @ l_tri @ v)
-            if abs(den) > 1e-14:
+            if abs(den) > RATIO_DEN_TOL * f.length:
                 ratios.append(num / den)
 
     return DiagnosticsReport(
         gamma_min=float(gammas.min()) if len(gammas) else None,
-        graph_type=is_graph_type(f.l_x, tol=1e-12),
+        graph_type=is_graph_type(f.l_x, tol=GRAPH_TYPE_TOL * f.length),
         k_min=k_min,
         k_max=k_max,
         m1=m1,

@@ -162,13 +162,11 @@ def _two_simplex_matrix(w12, w13, w23) -> np.ndarray:
     return np.moveaxis(m, (0, 1), (-2, -1))
 
 
-def two_simplex_closed_form(
-    w12: float, w13: float, w23: float, vertices=(1, 2, 3)
-) -> GeneralizedLaplacian:
-    """Closed-form generalized Laplacian of a single weighted 2-simplex."""
+def two_simplex_closed_form(w12: float, w13: float, w23: float) -> GeneralizedLaplacian:
+    """Closed-form generalized Laplacian of a single weighted 2-simplex on
+    the vertices (1, 2, 3)."""
     _check_positive(w12, w13, w23)
-    verts = tuple(vertices)
-    return GeneralizedLaplacian(_two_simplex_matrix(w12, w13, w23), verts, (verts,))
+    return GeneralizedLaplacian(_two_simplex_matrix(w12, w13, w23), (1, 2, 3), ((1, 2, 3),))
 
 
 def block_entries(simplices, weights) -> tuple:

@@ -44,10 +44,6 @@ TIE_TOL = 1e-10
 # solve's time for the lowest 15 % and 1.02x for the lowest 30 %; a wider
 # bound would move slices to the other solver and change their bits
 PARTIAL_MAX_FRACTION = 0.15
-# np.linalg.norm sums squares, which underflow below sqrt(tiny) ~ 1.5e-154;
-# below this product of norms, commutator entries within rounding of it can
-# lose their squares, so commutator_norm rescales its operands
-COMMUTATOR_RESCALE = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 
 
 class NumericalError(RuntimeError):
@@ -340,25 +336,21 @@ def poly_filter(l, coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
 
 
 def commutator_norm(l1, l2) -> float:
-    """Normalized Frobenius norm of L1 L2 - L2 L1; zero iff they commute."""
+    """Normalized Frobenius norm of L1 L2 - L2 L1; zero iff they commute.
+
+    The ratio is scale invariant, so each operand is first scaled by a power
+    of two to a largest entry in [0.5, 1).  That scaling is exact, so the
+    ratio keeps its bits; at any length scale no product or square
+    overflows, and only negligible ones underflow.
+    """
     a = _as_matrix(l1)
     b = _as_matrix(l2)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    # overflow is caught by the finite check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = np.linalg.norm(a) * np.linalg.norm(b)
-        if den < COMMUTATOR_RESCALE and a.any() and b.any():
-            # the ratio is scale invariant: compute it from a and b scaled
-            # to a largest entry of 1, where only negligible squares underflow
-            a, b = a / np.abs(a).max(), b / np.abs(b).max()
-            den = np.linalg.norm(a) * np.linalg.norm(b)
-        if den == 0.0:
-            return 0.0
-        out = float(np.linalg.norm(a @ b - b @ a) / den)
-    if not (math.isfinite(out) and math.isfinite(den)):
-        raise NumericalError("commutator norm overflows")
-    return out
+    if not (a.any() and b.any()):
+        return 0.0
+    a, b = (np.ldexp(m, -np.frexp(np.abs(m).max())[1]) for m in (a, b))
+    return float(np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 @dataclass(frozen=True)
@@ -394,12 +386,19 @@ class FilterFit(NamedTuple):
 def _fit_single(m: np.ndarray, x1: np.ndarray, x2: np.ndarray, b: int):
     feats = np.empty((len(x1), b))
     cur = x1
-    for j in range(b):
-        cur = m @ cur
-        feats[:, j] = cur
-    gram = feats.T @ feats + 1e-10 * np.eye(b)
-    coeffs = np.linalg.solve(gram, feats.T @ x2)
-    residual = float(np.sum((feats @ coeffs - x2) ** 2))
+    # an overflow leaves a non-finite value, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(b):
+            cur = m @ cur
+            feats[:, j] = cur
+        gram = feats.T @ feats + 1e-10 * np.eye(b)
+        rhs = feats.T @ x2
+        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+            raise NumericalError("filter fit overflows")
+        coeffs = np.linalg.solve(gram, rhs)
+        residual = float(np.sum((feats @ coeffs - x2) ** 2))
+    if not math.isfinite(residual):
+        raise NumericalError("filter fit overflows")
     return coeffs, residual
 
 

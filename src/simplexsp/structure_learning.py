@@ -23,10 +23,9 @@ from .complex_core import (
     enumerate_candidate_triangles,
 )
 from .laplacian import GeneralizedLaplacian, block_entries
-from .spectral import Spectrum, eigendecompose
+from .spectral import NumericalError, Spectrum, eigendecompose
 
 __all__ = [
-    "TriangleQueue",
     "LaplacianFamily",
     "filtration_bands",
     "order_within_band",
@@ -35,15 +34,6 @@ __all__ = [
     "select_model",
     "family_manifest",
 ]
-
-
-@dataclass
-class TriangleQueue:
-    """Ordered candidate triangles with their filtration band assignment."""
-
-    entries: list
-    band_of: dict
-    bands: list  # (r_lo, r_hi) per band
 
 
 @dataclass
@@ -60,7 +50,7 @@ class LaplacianFamily:
     base: np.ndarray
     updates: list
     batches: list
-    queue: TriangleQueue
+    bands: list  # (r_lo, r_hi) per filtration band
     seed: int = 0
 
     @property
@@ -90,39 +80,28 @@ class LaplacianFamily:
         return SimplicialComplex(self.graph.vertices, edges, itertools.chain(*self.batches[:i]))
 
 
-def _triangle_size(t, weights) -> float:
-    return max(weights[frozenset((t[0], t[1]))],
-               weights[frozenset((t[0], t[2]))],
-               weights[frozenset((t[1], t[2]))])
-
-
-def filtration_bands(triples, weights, num_bands: int) -> TriangleQueue:
+def filtration_bands(triples, weights, num_bands: int) -> tuple:
     """Assign each triple to a quantile band of its max edge weight.
 
     Thresholds are equal-count quantiles; a triple goes to the first band
-    whose upper threshold covers it.  Entries keep lexicographic order
-    within a band (re-ordering is a separate step).
+    whose upper threshold covers it.  Returns (bands, members): the
+    (r_lo, r_hi) thresholds per band, and per band its triples in input
+    order (re-ordering is a separate step).  No triples give no bands.
     """
     if num_bands < 1:
         raise ComplexError(f"need at least one band, got {num_bands}")
     triples = list(triples)
     if not triples:
-        return TriangleQueue([], {}, [])
+        return [], []
     wmap = {frozenset(k): float(v) for k, v in dict(weights).items()}
-    sizes = np.array([_triangle_size(t, wmap) for t in triples])
+    sizes = np.array([[wmap[frozenset(e)] for e in itertools.combinations(t, 2)]
+                      for t in triples]).max(axis=1)
     qs = np.quantile(sizes, [i / num_bands for i in range(1, num_bands + 1)])
-    band_of = {}
-    for t, s in zip(triples, sizes):
-        band_of[t] = int(np.searchsorted(qs, s, side="left").clip(0, num_bands - 1))
-    bands = []
-    lo = 0.0
-    for hi in qs:
-        bands.append((lo, float(hi)))
-        lo = float(hi)
-    entries = []
-    for i in range(num_bands):
-        entries.extend(t for t in triples if band_of[t] == i)
-    return TriangleQueue(entries, band_of, bands)
+    members = [[] for _ in qs]
+    for t, i in zip(triples, np.searchsorted(qs, sizes, side="left").clip(0, num_bands - 1)):
+        members[i].append(t)
+    bands = list(zip([0.0, *qs[:-1].tolist()], qs.tolist()))
+    return bands, members
 
 
 def order_within_band(triples, seed: int) -> list:
@@ -162,11 +141,10 @@ def order_within_band(triples, seed: int) -> list:
     return out
 
 
-def partition_queue(q: TriangleQueue, p: int) -> list:
-    """Split the queue into p contiguous batches of nearly equal size."""
+def partition_queue(entries: list, p: int) -> list:
+    """Split the queue ``entries`` into p contiguous batches of nearly equal size."""
     if p < 1:
         raise ComplexError(f"need at least one batch, got {p}")
-    entries = q.entries
     base, rem = divmod(len(entries), p)
     batches = []
     start = 0
@@ -224,12 +202,8 @@ def build_family(
     triples = enumerate_candidate_triangles(g, mode)
     triples, wmap = _triple_weights(g, triples, mode)
 
-    queue = filtration_bands(triples, wmap, num_bands)
-    ordered = []
-    for i in range(len(queue.bands)):
-        band = [t for t in queue.entries if queue.band_of[t] == i]
-        ordered.extend(order_within_band(band, seed + i))
-    queue.entries = ordered
+    bands, members = filtration_bands(triples, wmap, num_bands)
+    queue = [t for i, band in enumerate(members) for t in order_within_band(band, seed + i)]
     batches = partition_queue(queue, p)
 
     idx = g.index
@@ -261,7 +235,7 @@ def build_family(
         rows, cols = np.divmod(np.unique(rows * len(base) + cols), len(base))
         updates.append((rows, cols, lap[rows, cols], fills))
 
-    return LaplacianFamily(g, base, updates, batches, queue, seed)
+    return LaplacianFamily(g, base, updates, batches, bands, seed)
 
 
 def _low_band_residual(spectrum: Spectrum, signals: np.ndarray, r: float) -> np.ndarray:
@@ -274,6 +248,11 @@ def _low_band_residual(spectrum: Spectrum, signals: np.ndarray, r: float) -> np.
         signals = signals[:, None]
     if signals.shape[1] == 0:
         raise ComplexError("empty signal set")
+    # a finite sum of squares bounds every product and square made from the
+    # signals here and by the callers
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(signals**2)):
+            raise NumericalError("the signals' sum of squares overflows")
     v = spectrum.lowest(max(1, int(round(r * spectrum.n))))
     return signals - v @ (v.T @ signals)
 
@@ -315,7 +294,7 @@ def family_manifest(family: LaplacianFamily) -> dict:
         "n": family.graph.n,
         "p": family.p,
         "seed": family.seed,
-        "bands": [list(b) for b in family.queue.bands],
+        "bands": [list(b) for b in family.bands],
         "batches": [[list(t) for t in batch] for batch in family.batches],
         "levels": levels,
     }

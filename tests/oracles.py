@@ -60,6 +60,39 @@ def maximal_simplices_quadratic(x):
     return maximal
 
 
+def filtration_bands_loop(triples, weights, num_bands: int):
+    """(bands, members) of a size filtration, one triple at a time.
+
+    Reference for :func:`simplexsp.structure_learning.filtration_bands`: a
+    size and a ``searchsorted`` call per triple, a band per distinct triple
+    in a dict, and one scan of the triples per band.
+    """
+    if num_bands < 1:
+        raise ComplexError(f"need at least one band, got {num_bands}")
+    triples = list(triples)
+    if not triples:
+        return [], []
+    wmap = {frozenset(k): float(v) for k, v in dict(weights).items()}
+
+    def size(t):
+        return max(wmap[frozenset((t[0], t[1]))],
+                   wmap[frozenset((t[0], t[2]))],
+                   wmap[frozenset((t[1], t[2]))])
+
+    sizes = np.array([size(t) for t in triples])
+    qs = np.quantile(sizes, [i / num_bands for i in range(1, num_bands + 1)])
+    band_index = {}
+    for t, s in zip(triples, sizes):
+        band_index[t] = int(np.searchsorted(qs, s, side="left").clip(0, num_bands - 1))
+    bands = []
+    lo = 0.0
+    for hi in qs:
+        bands.append((lo, float(hi)))
+        lo = float(hi)
+    members = [[t for t in triples if band_index[t] == i] for i in range(num_bands)]
+    return bands, members
+
+
 def _shares_edge(t1, t2) -> bool:
     return len(set(t1) & set(t2)) >= 2
 
@@ -366,14 +399,16 @@ def _interior_counts(x, tri_vertices: set, edge_count: dict):
     return m1, m2, m3, m4
 
 
-def distinctive_check_reference(x, tol: float = 1e-10):
+def distinctive_check_reference(x):
     """Which of L_{X^1} - L_X / L_X - L_{X^1} is a graph Laplacian supported
-    on triangle edges, with a witness entry when neither is.
+    on triangle edges, with a witness entry when neither is, within 1e-10
+    times the longest edge length.
 
     Reference for :func:`simplexsp.diagnostics.distinctive_check`: scans the
     violating entries and the triangle edges in Python loops.
     """
     l_x, l_g = complex_laplacian(x).matrix, x.graph().laplacian_matrix()
+    tol = 1e-10 * max(x.edges.values(), default=1.0)
     edge_count = _triangle_membership(x)[1]
     if not edge_count:
         return DistinctiveResult("neither", True, None)
@@ -437,14 +472,15 @@ def _prop1_conditions(x, tri_vertices: set, edge_count: dict):
     return cond_a, cond_b, cond_c
 
 
-def diagnostics_report_reference(x, seed: int = 0, ratio_samples: int = 5):
+def diagnostics_report_reference(x):
     """The full diagnostics record of a 2-complex.
 
     Reference for :func:`simplexsp.diagnostics.diagnostics_report`: the
     triangle incidence, interior counts, distinctive test, Proposition 1
     conditions and shape constants computed one simplex at a time.  The
     sandwich is left out below two vertices, where it has no generalized
-    eigenvalue.
+    eigenvalue.  Tolerances are those at unit lengths times the longest
+    edge length.
     """
     import scipy.linalg
 
@@ -480,25 +516,26 @@ def diagnostics_report_reference(x, seed: int = 0, ratio_samples: int = 5):
         sandwich = SandwichBounds(float(vals.min()), float(vals.max()),
                                   max(k_min / 3.0, 1.0 / 3.0), k_max / 3.0, k_min, k_max)
 
-    rng = np.random.default_rng(seed)
+    length = max(x.edges.values(), default=1.0)
+    rng = np.random.default_rng(0)
     ratios = []
-    for t in triangles[: max(1, ratio_samples)]:
+    for t in triangles[:5]:
         w12, w13, w23 = g.weight(t[0], t[1]), g.weight(t[0], t[2]), g.weight(t[1], t[2])
         l_tri = two_simplex_closed_form(w12, w13, w23).matrix
         l_tri_g = WeightedGraph(
             (1, 2, 3), {(1, 2): w12, (1, 3): w13, (2, 3): w23}
         ).laplacian_matrix()
-        for _ in range(ratio_samples):
+        for _ in range(5):
             v = rng.standard_normal(3)
             y = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
             num = float(y @ l_tri_g @ y)
             den = float(v @ l_tri @ v)
-            if abs(den) > 1e-14:
+            if abs(den) > 1e-14 * length:
                 ratios.append(num / den)
 
     return DiagnosticsReport(
         gamma_min=min(gammas) if gammas else None,
-        graph_type=is_graph_type(l_x, tol=1e-12),
+        graph_type=is_graph_type(l_x, tol=1e-12 * length),
         k_min=k_min,
         k_max=k_max,
         m1=m1,

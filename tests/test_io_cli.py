@@ -393,14 +393,24 @@ class TestCli:
         # the failure line is all: the overflow itself warns nothing
         assert capsys.readouterr().err == "simplexsp: numerical failure: matrix norm is not finite\n"
 
-    def test_overflowing_commutator_exit_3(self, tmp_path, capsys):
-        cx = tmp_path / "c.json"
-        edges = [[1, 2, 1e200], [1, 3, 1e200], [2, 3, 1e200], [3, 4, 1e200]]
-        cx.write_text(json.dumps(dict(TRIANGLE_JSON, edges=edges)))
-        out = tmp_path / "d.json"
-        assert main(["diagnose", "--complex", str(cx), "--out", str(out)]) == 3
-        assert not out.exists()
-        assert capsys.readouterr().err == "simplexsp: numerical failure: commutator norm overflows\n"
+    @pytest.mark.parametrize("length", [1e-170, 1e-100, 1e150, 1e200])
+    def test_huge_or_tiny_lengths_keep_unit_verdicts(self, tmp_path, capsys, length):
+        # the commutator's squares overflow or underflow at these scales
+        reports = []
+        for w in (1.0, length):
+            cx = tmp_path / "c.json"
+            edges = [[1, 2, w], [1, 3, w], [2, 3, w], [3, 4, w]]
+            cx.write_text(json.dumps(dict(TRIANGLE_JSON, edges=edges)))
+            out = tmp_path / f"d{w}.json"
+            assert main(["diagnose", "--complex", str(cx), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        unit, scaled = reports
+        assert capsys.readouterr().err == ""
+        assert (unit["distinctive"], unit["theorem_certificate"]) == ("X1_minus_X", True)
+        for key in ("distinctive", "theorem_certificate", "graph_type", "prop1_conditions"):
+            assert scaled[key] == unit[key]
+        assert scaled["commutator"] == pytest.approx(unit["commutator"], rel=1e-12)
+        assert len(scaled["difference_ratio_samples"]) == len(unit["difference_ratio_samples"]) == 5
 
     @pytest.mark.parametrize(
         "command, option",
@@ -498,6 +508,16 @@ class TestSignalFiles:
         # the signals are read before anything is written
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("command", ["learn", "fit-filter", "compress"])
+    @pytest.mark.parametrize("huge", ["1e160", "1e300"])
+    def test_huge_signals_exit_3(self, tmp_path, capsys, command, huge):
+        # finite values whose squares overflow
+        rows = ["1,2", f"{huge},2", "1,2", "2,1", f"2,{huge}", "1,1"]
+        assert run_signals(tmp_path, command, "\n".join(rows) + "\n") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("simplexsp: numerical failure: ") and err.count("\n") == 1
+        assert not [f for f in (tmp_path / "out").rglob("*") if f.is_file()]
+
 
 class TestLabels:
     @pytest.mark.parametrize(
@@ -543,6 +563,40 @@ def test_compress_golden_output(tmp_path, monkeypatch, cfg, sha256):
     Path("cfg.json").write_text(json.dumps({"graph": "g.csv", "p": 3, "out_dir": "out", **cfg}))
     assert main(["compress", "--config", "cfg.json"]) == 0
     assert hashlib.sha256(Path("out/compression.csv").read_bytes()).hexdigest() == sha256
+
+
+LEARN_GOLDEN = {
+    "closed": {
+        "family.json": "acdcbb597e1405bb4ad90b42664a0adf8cc806beace80547f20883370e1fce2d",
+        "laplacian_00.csv": "37e8a80f02dc5d26f59a329848a113839185b3f7b851d4a4bdc63fc341e8f5a0",
+        "laplacian_01.csv": "a807d0da74cda6fbb09e82a00af6c9dee61b030cdb6178885d364f54f09a8296",
+        "laplacian_02.csv": "4d6f988a7bb0e1cafb26da30cbbfa910eaeb4854001b0920c8c624a9832294c0",
+        "laplacian_03.csv": "995ddd0c8d77c8a09c8e1fd6304907b4f27c70ff731908094486ea4ac56b73aa",
+        "laplacian_04.csv": "a9e53e2934d72763630f2b59850ddda9eace090e9969012cf44ee8d1d83d0d98",
+    },
+    "all": {
+        "family.json": "1625314ae0ed40cec6abf08f5f3b76e27eec2b2f1dc5a571bd05a1ffabb7d7d3",
+        "laplacian_00.csv": "37e8a80f02dc5d26f59a329848a113839185b3f7b851d4a4bdc63fc341e8f5a0",
+        "laplacian_01.csv": "55e2decf2ebbbf1e203c15b1703baa65a1a7bbed999f00e6a372a23a459b9fef",
+        "laplacian_02.csv": "c78f7b8bb0815858f0d495713ca501747ea875eb4035fb766e08759dc7fff965",
+        "laplacian_03.csv": "419a3445e16c8f78e54b04cb78e0f1f9731025bcca967560225a024b4e16590d",
+        "laplacian_04.csv": "6291938d882ace77b697ab66e7caaeb7d507b4d1f2c90b7bf56a055d8976d0be",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", LEARN_GOLDEN)
+def test_learn_three_bands_golden_output(tmp_path, monkeypatch, mode):
+    """family.json and every level keep their bytes with three filtration
+    bands, whose closed-mode thresholds tie at 1.6 (every benchmark
+    workload runs one band)."""
+    monkeypatch.chdir(tmp_path)
+    Path("g.csv").write_text(GOLDEN_EDGES)
+    assert main(["learn", "--graph", "g.csv", "--p", "4", "--bands", "3", "--seed", "5",
+                 "--mode", mode, "--out", "out"]) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in Path("out").iterdir() if f.name != "learn.manifest.json"}
+    assert written == LEARN_GOLDEN[mode]
 
 
 class TestExperimentConfigs:
@@ -625,7 +679,7 @@ DENOISE_KEYS = {
 # signal files on the six-vertex graph: 1 to 9 rows of two values, some of
 # them non-finite
 SIGNAL_ROWS = st.lists(
-    st.tuples(*[st.floats(-5, 5) | st.sampled_from([math.nan, math.inf, -math.inf])] * 2),
+    st.tuples(*[st.floats(-5, 5) | st.sampled_from([math.nan, math.inf, -math.inf, 1e160, 1e300])] * 2),
     min_size=1, max_size=9,
 )
 # label files for denoise: one column of class labels, some of them

@@ -612,6 +612,16 @@ class TestCommutatorNorm:
         with pytest.raises(ValueError):
             commutator_norm(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("exponent", [-900, -500, -1, 1, 500, 900])
+    def test_power_of_two_scale_keeps_bits(self, rng, exponent):
+        # at 2**±500 and 2**±900 the unscaled squares and products over- or underflow
+        l = random_laplacian(rng)
+        m = rng.standard_normal((l.n, l.n))
+        m = m + m.T
+        want = commutator_norm(m, l)
+        assert commutator_norm(np.ldexp(m, exponent), l) == want
+        assert commutator_norm(m, np.ldexp(l.matrix, -exponent)) == want
+
 
 class TestFilterSpec:
     def test_exactly_one_variant(self):

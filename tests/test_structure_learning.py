@@ -22,12 +22,12 @@ from simplexsp import (
     select_model,
     two_simplex_closed_form,
 )
-from simplexsp.structure_learning import TriangleQueue, _triple_weights, manifest_json
+from simplexsp.structure_learning import _triple_weights, manifest_json
 
 from simplexsp.tasks import two_cluster_graph
 
-from conftest import VERTEX_POOL, random_graphs, random_metric_complex
-from oracles import family_levels_reference, order_within_band_quadratic
+from conftest import LENGTHS, VERTEX_POOL, random_graphs, random_metric_complex
+from oracles import family_levels_reference, filtration_bands_loop, order_within_band_quadratic
 
 
 @st.composite
@@ -40,6 +40,22 @@ def triple_lists(draw):
     if triples:
         triples += draw(st.lists(st.sampled_from(triples), max_size=5))
     return triples
+
+
+@st.composite
+def banded_triples(draw):
+    """(triples, lengths, band count): triples as ``triple_lists`` draws
+    them, their pairs' lengths from a few values, so that sizes tie at the
+    thresholds, keyed by tuples as a graph's edges are, and up to three
+    more bands than triples."""
+    triples = draw(triple_lists())
+    pairs = {}
+    for t in triples:
+        for e in itertools.combinations(t, 2):
+            pairs.setdefault(frozenset(e), e)
+    lengths = st.sampled_from([0.5, 1.0, 2.0]) | LENGTHS
+    weights = {e: draw(lengths) for e in pairs.values()}
+    return triples, weights, draw(st.integers(1, len(triples) + 3))
 
 
 def triangles_with_sizes(sizes):
@@ -57,36 +73,47 @@ def triangles_with_sizes(sizes):
 class TestFiltrationBands:
     def test_identical_sizes_collapse_to_first_band(self):
         triples, weights = triangles_with_sizes([2.0, 2.0, 2.0, 2.0])
-        q = filtration_bands(triples, weights, 3)
-        assert all(q.band_of[t] == 0 for t in triples)
-        assert len(q.bands) == 3
+        bands, members = filtration_bands(triples, weights, 3)
+        assert members == [triples, [], []]
+        assert len(bands) == 3
 
     def test_median_split(self):
         triples, weights = triangles_with_sizes([1.0, 2.0, 3.0, 4.0])
-        q = filtration_bands(triples, weights, 2)
-        got = [q.band_of[t] for t in triples]
-        assert got == [0, 0, 1, 1]
+        bands, members = filtration_bands(triples, weights, 2)
+        assert members == [triples[:2], triples[2:]]
+        assert bands == [(0.0, 2.5), (2.5, 4.0)]
 
     def test_single_band(self):
         triples, weights = triangles_with_sizes([1.0, 5.0, 3.0])
-        q = filtration_bands(triples, weights, 1)
-        assert set(q.entries) == set(triples)
-        assert all(q.band_of[t] == 0 for t in triples)
+        bands, members = filtration_bands(triples, weights, 1)
+        assert members == [triples]
+        assert bands == [(0.0, 5.0)]
 
     def test_band_monotone_along_queue(self):
+        # each band holds the next sizes up, in input order
         triples, weights = triangles_with_sizes([4.0, 1.0, 3.0, 2.0, 5.0, 6.0])
-        q = filtration_bands(triples, weights, 3)
-        bands_seq = [q.band_of[t] for t in q.entries]
-        assert bands_seq == sorted(bands_seq)
+        _, members = filtration_bands(triples, weights, 3)
+        t = triples
+        assert members == [[t[1], t[3]], [t[0], t[2]], [t[4], t[5]]]
 
     def test_empty(self):
-        q = filtration_bands([], {}, 4)
-        assert q.entries == [] and q.bands == []
+        assert filtration_bands([], {}, 4) == ([], [])
 
     def test_permutation_no_loss(self):
         triples, weights = triangles_with_sizes([3.0, 1.0, 2.0, 2.0, 9.0])
-        q = filtration_bands(triples, weights, 2)
-        assert sorted(q.entries) == sorted(triples)
+        _, members = filtration_bands(triples, weights, 2)
+        assert sorted(itertools.chain(*members)) == sorted(triples)
+
+    def test_invalid_num_bands(self):
+        with pytest.raises(ComplexError):
+            filtration_bands([(0, 1, 2)], {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(banded_triples())
+    @example(([(0, 1, 2), (0, 1, 2), (2, 1, 0), (0, 1, 3)],
+              {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 2.0, (1, 3): 0.5}, 6))
+    def test_matches_loop_reference(self, case):
+        assert filtration_bands(*case) == filtration_bands_loop(*case)
 
 
 class TestOrderWithinBand:
@@ -148,8 +175,7 @@ class TestOrderWithinBand:
 
 class TestPartitionQueue:
     def _queue(self, n):
-        entries = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(n)]
-        return TriangleQueue(entries, {t: 0 for t in entries}, [(0.0, 1.0)])
+        return [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(n)]
 
     def test_remainder_spread_earliest(self):
         batches = partition_queue(self._queue(10), 3)
@@ -163,12 +189,12 @@ class TestPartitionQueue:
         q = self._queue(20)
         batches = partition_queue(q, 20)
         assert [len(b) for b in batches] == [1] * 20
-        assert [b[0] for b in batches] == q.entries
+        assert [b[0] for b in batches] == q
 
     def test_contiguous_cover(self):
         q = self._queue(13)
         batches = partition_queue(q, 4)
-        assert list(itertools.chain.from_iterable(batches)) == q.entries
+        assert list(itertools.chain.from_iterable(batches)) == q
 
     def test_invalid_p(self):
         with pytest.raises(ComplexError):
@@ -298,7 +324,8 @@ class TestBuildFamily:
         x = random_metric_complex(rng, n=15, edge_prob=0.6, triangle_prob=1.0)
         f1 = build_family(x.graph(), p=5, seed=1)
         f2 = build_family(x.graph(), p=5, seed=2)
-        assert sorted(f1.queue.entries) == sorted(f2.queue.entries)
+        q1, q2 = list(itertools.chain(*f1.batches)), list(itertools.chain(*f2.batches))
+        assert q1 != q2 and sorted(q1) == sorted(q2)
 
     def test_disconnected_graph_allowed(self):
         g = WeightedGraph(
