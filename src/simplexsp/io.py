@@ -219,7 +219,20 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix_csv(m: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(m, dtype=float), delimiter=",", fmt="%.17g")
+    """Write a matrix as the bytes of ``np.savetxt(path, m, delimiter=",",
+    fmt="%.17g")``, formatting only the entries that are not +0.0: a level
+    of a learned family is about 1 % nonzero at n=1000."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 1:  # a vector is one column, as np.savetxt writes it
+        m = m[:, None]
+    formatted = (m != 0) | np.signbit(m)  # -0.0 is written "-0"
+    with open(path, "w") as fh:
+        for row, mask in zip(m, formatted):
+            cells = ["0"] * len(row)
+            cols = np.flatnonzero(mask)
+            for j, v in zip(cols.tolist(), row[cols].tolist()):
+                cells[j] = "%.17g" % v
+            fh.write(",".join(cells) + "\n")
 
 
 def save_matrix_json(l: GeneralizedLaplacian, path) -> None:

@@ -164,10 +164,14 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
     is not; only a gap between them needs the top eigenvalue solved for.
     """
     n = sym.shape[0]
+    # sym is exactly symmetric, so its transpose holds the same values; the
+    # transpose of a C-ordered sym is Fortran-ordered, which f2py copies
+    # whole instead of transposing entry by entry
+    a = sym.T
 
     def solve(w):
         try:
-            return _evr(sym, 0, w - 1)
+            return _evr(a, 0, w - 1)
         except np.linalg.LinAlgError:
             # MRRR can fail on a slice that ends inside a cluster of nearly
             # equal eigenvalues; the full solve is the fallback
@@ -179,7 +183,7 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
     while True:
         gaps = np.diff(vals)
         if ((lo < gaps) & (gaps <= hi)).any():
-            top = _evr(sym, n - 1, n - 1, compute_v=False)[0]
+            top = _evr(a, n - 1, n - 1, compute_v=False)[0]
             lo = hi = TIE_TOL * max(1.0, abs(float(vals[0])), abs(float(top[0])))
         if len(vals) == n or (gaps[k - 1:] > hi).any():
             return vals, vecs, hi
@@ -201,9 +205,14 @@ def eigendecompose(l, upto: int | None = None) -> Spectrum:
     if upto is not None and upto < 1:
         raise ValueError(f"upto must be >= 1, got {upto}")
     scale = _norm_scale(m)
-    if np.linalg.norm(m - m.T) > 1e-8 * scale:
+    if m.dtype == np.float64 and np.array_equal(m.view(np.int64), m.T.view(np.int64)):
+        # bitwise symmetric (int64 views tell 0.0 from -0.0): with finite
+        # entries and a finite norm, (m + m.T) / 2 would have the same bits
+        sym = m
+    elif np.linalg.norm(m - m.T) > 1e-8 * scale:
         raise NumericalError("matrix is not symmetric within tolerance")
-    sym = (m + m.T) / 2.0
+    else:
+        sym = (m + m.T) / 2.0
     k = len(sym) if upto is None else min(upto, len(sym))
     try:
         if k < PARTIAL_MAX_FRACTION * len(sym):
@@ -321,7 +330,8 @@ def downsample_reconstruct(
 def poly_filter(l, coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
     """Apply sum_j a_j L^j x by iterated multiplication (no matrix powers).
 
-    Coefficients start at degree 1: there is no constant term.
+    Coefficients start at degree 1: there is no constant term.  Raises
+    :class:`NumericalError` when the result overflows.
     """
     m = _as_matrix(l)
     x = np.asarray(x, dtype=float)
@@ -329,9 +339,13 @@ def poly_filter(l, coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one coefficient (degree >= 1)")
     out = np.zeros_like(x)
     cur = x
-    for a in coeffs:
-        cur = m @ cur
-        out = out + float(a) * cur
+    # an overflow leaves a non-finite value, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in coeffs:
+            cur = m @ cur
+            out = out + float(a) * cur
+    if not np.isfinite(out).all():
+        raise NumericalError("polynomial filter overflows")
     return out
 
 

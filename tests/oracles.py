@@ -21,6 +21,7 @@ from simplexsp import (
     maximal_simplices,
     perturb_node,
     shape_constant,
+    spectral,
     two_simplex_closed_form,
 )
 from simplexsp.diagnostics import DiagnosticsReport, DistinctiveResult, SandwichBounds
@@ -30,7 +31,16 @@ from simplexsp.laplacian import (
     simplex_laplacian,
     star_expansion,
 )
-from simplexsp.spectral import SIGN_EPS, Spectrum, commutator_norm, eigendecompose, gft, igft
+from simplexsp.spectral import (
+    SIGN_EPS,
+    TIE_TOL,
+    NumericalError,
+    Spectrum,
+    commutator_norm,
+    eigendecompose,
+    gft,
+    igft,
+)
 
 
 def maximal_simplices_quadratic(x):
@@ -128,6 +138,73 @@ def fix_signs_loop(vecs):
         if nz.size and col[nz[0]] < 0:
             out[:, j] = -col
     return out
+
+
+def _low_pairs_c_ordered(sym, k):
+    """The lowest pairs of ``sym`` by MRRR, as spectral._low_pairs finds
+    them, but handing dsyevr the C-ordered ``sym`` itself."""
+    n = sym.shape[0]
+
+    def solve(w):
+        try:
+            return spectral._evr(sym, 0, w - 1)
+        except np.linalg.LinAlgError:
+            return np.linalg.eigh(sym)
+
+    lo = TIE_TOL * max(1.0, float(np.abs(np.diag(sym)).max()))
+    hi = TIE_TOL * max(1.0, float(np.abs(sym).sum(axis=1).max()))
+    vals, vecs = solve(k + 1)
+    while True:
+        gaps = np.diff(vals)
+        if ((lo < gaps) & (gaps <= hi)).any():
+            top = spectral._evr(sym, n - 1, n - 1, compute_v=False)[0]
+            lo = hi = TIE_TOL * max(1.0, abs(float(vals[0])), abs(float(top[0])))
+        if len(vals) == n or (gaps[k - 1:] > hi).any():
+            return vals, vecs, hi
+        vals, vecs = solve(min(n, 2 * len(vals)))
+
+
+def eigendecompose_symmetrising(l, upto=None):
+    """Symmetric eigendecomposition of (m + m.T) / 2, always computed.
+
+    Reference for :func:`simplexsp.spectral.eigendecompose`, which solves a
+    bitwise-symmetric matrix as it is and hands dsyevr its transpose.
+    """
+    m = spectral._as_matrix(l)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {m.shape}")
+    if upto is not None and upto < 1:
+        raise ValueError(f"upto must be >= 1, got {upto}")
+    scale = spectral._norm_scale(m)
+    if np.linalg.norm(m - m.T) > 1e-8 * scale:
+        raise NumericalError("matrix is not symmetric within tolerance")
+    sym = (m + m.T) / 2.0
+    k = len(sym) if upto is None else min(upto, len(sym))
+    try:
+        if k < spectral.PARTIAL_MAX_FRACTION * len(sym):
+            vals, vecs, tol = _low_pairs_c_ordered(sym, k)
+        else:
+            vals, vecs = np.linalg.eigh(sym)
+            tol = TIE_TOL * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    vecs = spectral._fix_signs(vecs)
+    blocks = []
+    start = 0
+    for j in range(1, len(vals) + 1):
+        if j == len(vals) or vals[j] - vals[j - 1] > tol:
+            if j - start > 1 and start < k:
+                order = sorted(range(start, j), key=lambda c: tuple(vecs[:, c]))
+                vecs[:, start:j] = vecs[:, order]
+                blocks.append((start, min(j, k)))
+            start = j
+    verts = l.vertices if isinstance(l, GeneralizedLaplacian) else ()
+    return Spectrum(vals[:k], vecs[:, :k], tuple(verts), tuple(blocks))
+
+
+def save_matrix_csv_savetxt(m, path):
+    """Reference for :func:`simplexsp.io.save_matrix_csv`: every entry formatted."""
+    np.savetxt(path, np.asarray(m, dtype=float), delimiter=",", fmt="%.17g")
 
 
 def complex_laplacian_reference(x):

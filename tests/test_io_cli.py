@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import simplexsp
 from simplexsp import SimplicialComplex, complex_laplacian, from_edge_list
@@ -29,6 +30,7 @@ from simplexsp.io import (
 )
 
 from conftest import LENGTHS, random_complexes, random_metric_complex
+from oracles import save_matrix_csv_savetxt
 
 
 TRIANGLE_JSON = {
@@ -126,6 +128,20 @@ class TestSignalsAndMatrices:
         p = tmp_path / "m.csv"
         save_matrix_csv(m, p)
         np.testing.assert_array_equal(load_matrix(p), m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
+        # zeros of both signs among subnormal, huge, infinite and NaN entries
+        elements=st.sampled_from([0.0, -0.0]) | st.floats(),
+    ))
+    def test_matrix_csv_matches_savetxt(self, m):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp) / "ours.csv", Path(tmp) / "oracle.csv"
+            save_matrix_csv(m, ours)
+            save_matrix_csv_savetxt(m, oracle)
+            assert ours.read_bytes() == oracle.read_bytes()
 
     def test_matrix_json_roundtrip(self, tmp_path, rng):
         x = random_metric_complex(rng, n=6)
@@ -508,15 +524,26 @@ class TestSignalFiles:
         # the signals are read before anything is written
         assert not any((tmp_path / "out").iterdir())
 
-    @pytest.mark.parametrize("command", ["learn", "fit-filter", "compress"])
-    @pytest.mark.parametrize("huge", ["1e160", "1e300"])
+    @pytest.mark.parametrize(
+        "huge, command",
+        [(h, c) for c in ("learn", "fit-filter", "compress") for h in ("1e160", "1e300")]
+        + [("1e308", "filter")],
+    )
     def test_huge_signals_exit_3(self, tmp_path, capsys, command, huge):
-        # finite values whose squares overflow
+        # finite values whose squares overflow, or for filter their product with L
         rows = ["1,2", f"{huge},2", "1,2", "2,1", f"2,{huge}", "1,1"]
         assert run_signals(tmp_path, command, "\n".join(rows) + "\n") == 3
         err = capsys.readouterr().err
         assert err.startswith("simplexsp: numerical failure: ") and err.count("\n") == 1
         assert not [f for f in (tmp_path / "out").rglob("*") if f.is_file()]
+
+    def test_huge_signals_band_filter_exits_0(self, tmp_path):
+        rows = ["1,2", "1e308,2", "1,2", "2,1", "2,-1e308", "1,1"]
+        assert run_signals(tmp_path, "filter", "\n".join(rows) + "\n") == 3
+        out = tmp_path / "out" / "band.csv"
+        assert main(["filter", "--laplacian", str(tmp_path / "lap.csv"), "--signals",
+                     str(tmp_path / "sig.csv"), "--band", "1:3", "--out", str(out)]) == 0
+        assert np.isfinite(load_signals(out)[1]).all()
 
 
 class TestLabels:
@@ -763,11 +790,32 @@ def run_fresh(code):
                           text=True, timeout=120)
 
 
+# the modules of numpy, scipy and simplexsp in sys.modules, space-separated
+LOADED = ("' '.join(sorted(m for m in sys.modules "
+          "if m.split('.')[0] in ('numpy', 'scipy', 'simplexsp')))")
+
+
 def test_import_loads_no_scipy():
-    proc = run_fresh("import simplexsp.cli, sys; print(sorted(m for m in sys.modules "
-                     "if m.split('.')[0] == 'scipy'))")
+    # nor numpy, nor any submodule but the CLI front end that was asked for
+    for module in ("simplexsp", "simplexsp.cli"):
+        proc = run_fresh(f"import {module}, sys; print({LOADED})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == sorted({"simplexsp", module})
+
+
+def test_help_and_usage_error_load_no_numpy():
+    proc = run_fresh(
+        "import sys; from simplexsp.cli import main\n"
+        "for argv in (['--help'], ['denoise']):\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code)\n"
+        f"print({LOADED})"
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-3:] == ["0", "2", "simplexsp simplexsp.cli"]
+    assert "the following arguments are required: --config" in proc.stderr
 
 
 def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
@@ -785,9 +833,16 @@ def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
             ["learn", "--graph", str(graph), "--p", "2", "--mode", "all",
              "--out", str(tmp_path / "learned")],
             ["denoise", "--config", str(cfg)]]
+    # each command loads only the modules it runs
+    unloaded = {"diagnose": {"simplexsp.structure_learning", "simplexsp.tasks"},
+                "learn": {"simplexsp.diagnostics", "simplexsp.tasks"},
+                "denoise": {"simplexsp.diagnostics"}}
     for argv in runs:
-        proc = run_fresh(f"import sys; from simplexsp.cli import main; sys.exit(main({argv!r}))")
+        proc = run_fresh("import sys; from simplexsp.cli import main\n"
+                         f"rc = main({argv!r}); print({LOADED}); sys.exit(rc)")
         assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "simplexsp.commands" in loaded and not loaded & unloaded[argv[0]]
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["sandwich"] is not None
     family = json.loads((tmp_path / "learned" / "family.json").read_text())

@@ -1,10 +1,11 @@
+import contextlib
 import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexsp import (
@@ -32,7 +33,7 @@ from simplexsp.spectral import SIGN_EPS, TIE_TOL, _fix_signs
 from simplexsp.tasks import two_cluster_graph
 
 from conftest import LENGTHS, random_complexes, random_graphs, random_metric_complex
-from oracles import fix_signs_loop
+from oracles import eigendecompose_symmetrising, fix_signs_loop
 
 
 def path_laplacian():
@@ -321,6 +322,66 @@ def same_outcome(ours, oracle):
     want = want if isinstance(want, tuple) else (want,)
     got = got if isinstance(got, tuple) else (got,)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """A random symmetric matrix, about 60 % of it zeros."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+    return np.tril(a) + np.tril(a, -1).T
+
+
+@st.composite
+def nearly_symmetric(draw):
+    """A symmetric matrix as it is, with one entry nudged by an ulp, or with
+    -0.0 in place of zeros, on one side or both; C- or Fortran-ordered."""
+    m = draw(st.one_of(SYMMETRIC, sparse_symmetric())).copy()
+    n = len(m)
+    kind = draw(st.sampled_from(["symmetric", "nudged", "negative-zero"]))
+    if kind == "nudged":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i, j] = np.nextafter(m[i, j], np.inf)
+    elif kind == "negative-zero":
+        both = draw(st.booleans())
+        for i, j in np.argwhere(m == 0):
+            if draw(st.booleans()):
+                m[i, j] = -0.0
+                if both:
+                    m[j, i] = -0.0
+    return np.asfortranarray(m) if draw(st.booleans()) else m
+
+
+class TestSymmetrisation:
+    @settings(max_examples=300, deadline=None)
+    @given(nearly_symmetric(), st.integers(1, 30), st.booleans())
+    # a 0.0 across from a -0.0: equal as floats, but solving m itself
+    # changes the eigenvalue bits
+    @example(np.array([[1.0, -0.0, -1.0, 0.0], [0.0, 2.1, 0.0, -2.1],
+                       [-1.0, 0.0, 2.0, -1.0], [0.0, -2.1, -1.0, 3.1]]), 1, True)
+    def test_matches_always_symmetrising_solver(self, m, k, partial):
+        for upto in (None, k):
+            with solve_partially() if partial else contextlib.nullcontext():
+                try:
+                    want = eigendecompose_symmetrising(m, upto)
+                except NumericalError:
+                    with pytest.raises(NumericalError):
+                        eigendecompose(m, upto)
+                    continue
+                got = eigendecompose(m, upto)
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+            assert got.tie_blocks == want.tie_blocks
+
+    def test_only_asymmetric_input_is_copied(self, monkeypatch):
+        m = path_laplacian().matrix
+        real, solved = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a) or real(a))
+        eigendecompose(m)
+        m[0, 1] = np.nextafter(m[0, 1], 0.0)  # asymmetric within tolerance
+        eigendecompose(m)
+        assert solved[0] is m and solved[1] is not m
 
 
 class TestLapackCalls:
