@@ -8,7 +8,6 @@ bandlimited signal from a handful of vertices.
 import numpy as np
 
 from simplexsp import (
-    FilterSpec,
     bandpass,
     complex_laplacian,
     downsample_reconstruct,
@@ -45,10 +44,6 @@ print("|x| vs |x^| :", np.linalg.norm(sig), np.linalg.norm(gft(spec, sig)))
 low = bandpass(spec, range(1, 6), sig)
 print("\nEnergy kept by the 5-band low-pass:",
       np.linalg.norm(low) ** 2 / np.linalg.norm(sig) ** 2)
-
-# The same thing written as a FilterSpec.
-f = FilterSpec(band=range(1, 6))
-print("FilterSpec agrees:", np.allclose(f.apply(None, spec, sig), low))
 
 # Polynomial (shift-invariant) filtering: a1 L + a2 L^2.
 l = complex_laplacian(x)

@@ -14,7 +14,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines; each submodule name is public too
+# submodule -> the public names it defines, and the submodule's __all__;
+# each submodule name is public too
 _SOURCES = {
     "complex_core": (
         "ComplexError",
@@ -31,6 +32,8 @@ _SOURCES = {
     ),
     "diagnostics": (
         "DiagnosticsReport",
+        "DistinctiveResult",
+        "SandwichBounds",
         "diagnostics_report",
         "distinctive_check",
         "interior_counts",
@@ -50,7 +53,7 @@ _SOURCES = {
         "two_simplex_closed_form",
     ),
     "spectral": (
-        "FilterSpec",
+        "FilterFit",
         "NumericalError",
         "Spectrum",
         "bandpass",

@@ -33,10 +33,11 @@ from .io import (
 )
 from .laplacian import complex_laplacian
 from .spectral import (
-    FilterSpec,
     NumericalError,
+    bandpass,
     eigendecompose,
     fit_continuous_filter,
+    poly_filter,
 )
 
 LABEL_MAX = 2**31 - 1  # class labels; the bound keeps their int casts and squares finite
@@ -205,14 +206,13 @@ def cmd_filter(args):
     _, signals = load_signals(args.signals)
     _check_rows(args.signals, signals, m.shape[0])
     if args.band is not None:
-        spec = FilterSpec(band=_parse_band(args.band, m.shape[0]))
+        band = _parse_band(args.band, m.shape[0])
+        s = eigendecompose(m)
+        filtered = [bandpass(s, band, x) for x in signals.T]
     else:
-        spec = FilterSpec(coeffs=_parse_poly(args.poly))
-    s = eigendecompose(m) if args.band is not None else None
-    filtered = np.column_stack(
-        [spec.apply(m, s, signals[:, j]) for j in range(signals.shape[1])]
-    )
-    save_signals(filtered, args.out)
+        coeffs = _parse_poly(args.poly)
+        filtered = [poly_filter(m, coeffs, x) for x in signals.T]
+    save_signals(np.column_stack(filtered), args.out)
     return {"band": args.band, "poly": args.poly}, [args.laplacian, args.signals], [args.out], None
 
 
@@ -352,6 +352,10 @@ def cmd_diagnose(args):
 def cmd_fit_filter(args):
     from .structure_learning import build_family
 
+    if args.degree < 1:
+        raise ParseError(f"--degree {args.degree}: the polynomial degree must be at least 1")
+    if args.t_grid < 2:
+        raise ParseError(f"--t-grid {args.t_grid}: the grid needs at least 2 points")
     g = load_graph(args.graph, args.invert_similarity)
     _, signals = load_signals(args.signals)
     _check_rows(args.signals, signals, g.n)

@@ -15,19 +15,9 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = [
-    "ComplexError",
-    "WeightedGraph",
-    "Hypergraph",
-    "SimplicialComplex",
-    "from_edge_list",
-    "from_hypergraph",
-    "knn_graph",
-    "enumerate_candidate_triangles",
-    "maximal_simplices",
-    "skeleton",
-    "connected_components",
-]
+from . import _SOURCES
+
+__all__ = list(_SOURCES["complex_core"])
 
 Vertex = Hashable
 

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _SOURCES
 from .complex_core import ComplexError, SimplicialComplex, WeightedGraph
 from .laplacian import (
     GeneralizedLaplacian,
@@ -32,17 +33,7 @@ RATIO_DEN_TOL = 1e-14
 UNIT_TOL = 1e-9
 RATIO_SAMPLES = 5
 
-__all__ = [
-    "DiagnosticsReport",
-    "DistinctiveResult",
-    "SandwichBounds",
-    "interior_counts",
-    "distinctive_check",
-    "shift_invariance_certificate",
-    "sandwich_bounds",
-    "lemma2_audit",
-    "diagnostics_report",
-]
+__all__ = list(_SOURCES["diagnostics"])
 
 
 class _Incidence(NamedTuple):
@@ -121,17 +112,22 @@ def _interior_counts(n: int, inc: _Incidence):
     # subcomplex spanned by the triangles
     tri_edges = inc.edges[inc.on_edge > 0]
     labels = _components(n, tri_edges)
-    m2 = np.unique(labels[in_tri]).size
+
+    def distinct(rows):
+        # np.unique(rows).size imports numpy.ma (numpy 2.4) to test for a mask
+        return int(np.count_nonzero(np.bincount(rows, minlength=n)))
+
+    m2 = distinct(labels[in_tri])
 
     degree = np.bincount(inc.edges.ravel(), minlength=n)
     two_interior = in_tri & (degree == np.bincount(tri_edges.ravel(), minlength=n))
-    m3 = np.unique(labels[two_interior]).size
+    m3 = distinct(labels[two_interior])
 
     # v on a triangle with a 1-interior neighbor u whose only neighbor on a
     # triangle is v
     v, u = np.concatenate([inc.edges, inc.edges[:, ::-1]]).T
     hit = in_tri[v] & ~in_tri[u] & (inc.nbrs_on_tri[u] == 1)
-    m4 = np.unique(v[hit]).size
+    m4 = distinct(v[hit])
     return m1, m2, m3, m4
 
 

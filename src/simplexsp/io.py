@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,13 @@ def load_complex(path, invert_similarity: bool = False) -> SimplicialComplex:
             edges = {}
             for k, row in enumerate(data.get("edges", [])):
                 u, v, w = row
-                edges[(u, v)] = _maybe_invert(float(w), invert_similarity, f"{path} edge {k}")
+                w = _maybe_invert(float(w), invert_similarity, f"{path} edge {k}")
+                if edges.setdefault((u, v), w) != w:
+                    raise ParseError(f"{path} edge {k}: conflicting duplicate edge {u!r},{v!r}")
             simplices = [tuple(s) for s in data.get("simplices", [])]
             return SimplicialComplex(vertices, edges, simplices)
+        except ParseError:
+            raise
         except (KeyError, TypeError, ValueError, ComplexError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     return _load_edge_csv(path, invert_similarity)
@@ -198,24 +203,33 @@ def load_points(path) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Dense matrix from CSV rows or the JSON envelope {n, rows, provenance}."""
+    """Dense matrix from CSV rows or the JSON envelope {n, rows, provenance}.
+
+    An empty or non-square matrix, or JSON rows that do not match the
+    declared n, is a :class:`ParseError` naming the file.
+    """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-        try:
-            m = np.array(data["rows"], dtype=float)
-            if m.shape != (data["n"], data["n"]):
-                raise ParseError(f"{path}: rows do not match declared n={data['n']}")
-            return m
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
+        if path.suffix.lower() == ".json":
+            data = json.loads(path.read_text())
+            m, n = np.array(data["rows"], dtype=float), data["n"]
+        else:
+            with warnings.catch_warnings():
+                # numpy warns on a file without rows; the check below names it
+                warnings.simplefilter("ignore", UserWarning)
+                m = np.loadtxt(path, delimiter=",", ndmin=2)
+            n = len(m)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not m.size:
+        raise ParseError(f"{path}: no matrix rows")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ParseError(f"{path}: need a square matrix, got shape {m.shape}")
+    if m.shape[0] != n:
+        raise ParseError(f"{path}: rows do not match declared n={n}")
+    return m
 
 
 def save_matrix_csv(m: np.ndarray, path) -> None:

@@ -17,20 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _SOURCES
 from .complex_core import ComplexError, SimplicialComplex, maximal_simplices
 
-__all__ = [
-    "StarExpansion",
-    "GeneralizedLaplacian",
-    "gromov_product",
-    "star_expansion",
-    "simplex_laplacian",
-    "two_simplex_closed_form",
-    "block_entries",
-    "complex_laplacian",
-    "shape_constant",
-    "is_graph_type",
-]
+__all__ = list(_SOURCES["laplacian"])
 
 BARYCENTER = "__barycenter__"
 

@@ -19,24 +19,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _SOURCES
 from .laplacian import GeneralizedLaplacian
 
-__all__ = [
-    "NumericalError",
-    "Spectrum",
-    "FilterSpec",
-    "FilterFit",
-    "eigendecompose",
-    "gft",
-    "igft",
-    "bandpass",
-    "convolve",
-    "downsample_reconstruct",
-    "select_sample_vertices",
-    "poly_filter",
-    "fit_continuous_filter",
-    "commutator_norm",
-]
+__all__ = list(_SOURCES["spectral"])
 
 SIGN_EPS = 1e-12
 TIE_TOL = 1e-10
@@ -365,29 +351,6 @@ def commutator_norm(l1, l2) -> float:
         return 0.0
     a, b = (np.ldexp(m, -np.frexp(np.abs(m).max())[1]) for m in (a, b))
     return float(np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """One of: a band index set, a convolution kernel, or polynomial coefficients."""
-
-    band: tuple = ()
-    kernel: np.ndarray | None = None
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        given = sum([bool(self.band), self.kernel is not None, bool(self.coeffs)])
-        if given != 1:
-            raise ValueError("specify exactly one of band, kernel, coeffs")
-
-    def apply(self, l, s: Spectrum | None, x: np.ndarray) -> np.ndarray:
-        if self.coeffs:
-            return poly_filter(l, self.coeffs, x)
-        if s is None:
-            s = eigendecompose(l)
-        if self.band:
-            return bandpass(s, self.band, x)
-        return convolve(s, self.kernel, x)
 
 
 class FilterFit(NamedTuple):

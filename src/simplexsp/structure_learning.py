@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _SOURCES
 from .complex_core import (
     ComplexError,
     SimplicialComplex,
@@ -25,15 +26,7 @@ from .complex_core import (
 from .laplacian import GeneralizedLaplacian, block_entries
 from .spectral import NumericalError, Spectrum, eigendecompose
 
-__all__ = [
-    "LaplacianFamily",
-    "filtration_bands",
-    "order_within_band",
-    "partition_queue",
-    "build_family",
-    "select_model",
-    "family_manifest",
-]
+__all__ = list(_SOURCES["structure_learning"])
 
 
 @dataclass

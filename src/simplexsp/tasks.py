@@ -15,25 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _SOURCES
 from .complex_core import ComplexError, SimplicialComplex, WeightedGraph, enumerate_candidate_triangles
 from .spectral import Spectrum, eigendecompose
 from .structure_learning import LaplacianFamily, _best_level, _low_band_residual
 
-__all__ = [
-    "AnomalyVerdict",
-    "compression_error",
-    "compression_trials",
-    "detection_rates",
-    "denoise_best_fractions",
-    "generate_bandlimited_set",
-    "generate_smooth_signals",
-    "detect_anomaly",
-    "denoise_labels",
-    "inject_label_noise",
-    "perturb_node",
-    "planted_complex",
-    "two_cluster_graph",
-]
+__all__ = list(_SOURCES["tasks"])
 
 
 def compression_error(spectrum: Spectrum, signals: np.ndarray, r2: float) -> float:

@@ -18,9 +18,10 @@ def test_every_exported_name_resolves(name):
 
 # the package's public names; it loads the submodule behind each on first use
 PUBLIC = [
-    "AnomalyVerdict", "ComplexError", "DiagnosticsReport", "FilterSpec", "GeneralizedLaplacian",
-    "Hypergraph", "LaplacianFamily", "NumericalError", "SimplicialComplex", "Spectrum",
-    "StarExpansion", "WeightedGraph", "bandpass", "build_family", "commutator_norm",
+    "AnomalyVerdict", "ComplexError", "DiagnosticsReport", "DistinctiveResult", "FilterFit",
+    "GeneralizedLaplacian", "Hypergraph", "LaplacianFamily", "NumericalError", "SandwichBounds",
+    "SimplicialComplex", "Spectrum", "StarExpansion", "WeightedGraph", "bandpass",
+    "build_family", "commutator_norm",
     "complex_core", "complex_laplacian", "compression_error", "compression_trials",
     "connected_components", "convolve", "denoise_best_fractions", "denoise_labels",
     "detect_anomaly", "detection_rates", "diagnostics", "diagnostics_report",
@@ -42,3 +43,15 @@ def test_package_exports_are_pinned_and_listed():
     assert set(PUBLIC) <= set(dir(simplexsp))
     with pytest.raises(AttributeError):
         simplexsp.no_such_name
+
+
+@pytest.mark.parametrize("module", sorted(simplexsp._SOURCES))
+def test_module_all_is_its_package_entry(module):
+    """The package map is the only list of a submodule's public names."""
+    assert importlib.import_module(f"simplexsp.{module}").__all__ == list(simplexsp._SOURCES[module])
+
+
+@pytest.mark.parametrize("name", ["DistinctiveResult", "FilterFit", "SandwichBounds"])
+def test_result_types_are_exported(name):
+    # the types that distinctive_check, fit_continuous_filter and sandwich_bounds return
+    assert isinstance(getattr(simplexsp, name), type)

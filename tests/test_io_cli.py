@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,18 @@ class TestComplexIO:
         x = load_complex(p)
         assert x.simplices == frozenset({(1, 2, 3)})
         assert x.edges[(3, 4)] == 2.0
+
+    def test_json_conflicting_duplicate_edge_error(self, tmp_path):
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps({"vertices": [1, 2, 3],
+                                 "edges": [[1, 2, 1.0], [1, 2, 2.0], [2, 3, 1.0]]}))
+        with pytest.raises(ParseError) as err:
+            load_complex(p)
+        assert str(err.value) == f"{p} edge 1: conflicting duplicate edge 1,2"
+        # an equal repeat loads, as it does from CSV
+        p.write_text(json.dumps({"vertices": [1, 2, 3],
+                                 "edges": [[1, 2, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}))
+        assert load_complex(p).edges == {(1, 2): 1.0, (2, 3): 1.0}
 
     def test_face_closure_error(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -153,8 +166,9 @@ class TestSignalsAndMatrices:
     def test_matrix_json_shape_mismatch(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"n": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]}))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             load_matrix(p)
+        assert str(err.value) == f"{p}: rows do not match declared n=3"
 
     def test_points(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -300,6 +314,19 @@ class TestCli:
         fit = json.loads(out.read_text())
         assert fit["residual"] < 1e-8
 
+    @pytest.mark.parametrize("flag, value", [("--degree", "0"), ("--degree", "-1"),
+                                             ("--t-grid", "1"), ("--t-grid", "0")])
+    def test_fit_filter_bad_flag_exit_2(self, tmp_path, capsys, flag, value):
+        graph, sig, out = tmp_path / "g.csv", tmp_path / "sig.csv", tmp_path / "fit.json"
+        graph.write_text(SIX_VERTEX_EDGES)
+        save_signals(np.ones((6, 2)), sig)
+        rc = main(["fit-filter", "--graph", str(graph), "--signals", str(sig), "--p", "2",
+                   flag, value, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"simplexsp: {flag} {value}: ")
+        assert not out.exists() and not (tmp_path / "fit-filter.manifest.json").exists()
+
     def test_compress_experiment(self, tmp_path, rng):
         x = random_metric_complex(rng, n=12, edge_prob=0.7, triangle_prob=1.0)
         gpath = tmp_path / "g.json"
@@ -390,6 +417,29 @@ class TestCli:
                     "--out", str(tmp_path / "f.csv")]
         assert main(argv) == 3
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("option", [None, ("--band", "1:2"), ("--poly", "0.5")],
+                             ids=["spectrum", "filter-band", "filter-poly"])
+    @pytest.mark.parametrize("text, problem", [("", "no matrix rows"),
+                                               ("1,0\n0,1\n0,0\n", "need a square matrix, got shape (3, 2)"),
+                                               ("1,0,0\n0,1,0\n", "need a square matrix, got shape (2, 3)")],
+                             ids=["empty", "3x2", "2x3"])
+    def test_empty_or_non_square_matrix_exit_2(self, tmp_path, capsys, option, text, problem):
+        lap = tmp_path / "m.csv"
+        lap.write_text(text)
+        out = tmp_path / "out"
+        if option is None:
+            argv = ["spectrum", "--laplacian", str(lap), "--out", str(out)]
+        else:
+            sig = tmp_path / "sig.csv"
+            save_signals(np.ones((3, 1)), sig)
+            argv = ["filter", "--laplacian", str(lap), "--signals", str(sig), *option,
+                    "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning included
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"simplexsp: {lap}: {problem}\n"
+        assert not out.exists()
 
     def test_diagnose_one_vertex(self, tmp_path):
         cx = tmp_path / "c.json"
@@ -834,7 +884,7 @@ def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
              "--out", str(tmp_path / "learned")],
             ["denoise", "--config", str(cfg)]]
     # each command loads only the modules it runs
-    unloaded = {"diagnose": {"simplexsp.structure_learning", "simplexsp.tasks"},
+    unloaded = {"diagnose": {"simplexsp.structure_learning", "simplexsp.tasks", "numpy.ma"},
                 "learn": {"simplexsp.diagnostics", "simplexsp.tasks"},
                 "denoise": {"simplexsp.diagnostics"}}
     for argv in runs:

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexsp import (
-    FilterSpec,
     GeneralizedLaplacian,
     NumericalError,
     SimplicialComplex,
@@ -538,8 +537,6 @@ class TestConvolve:
         x = np.arange(1.0, s.n + 1)
         with pytest.raises(IndexError):
             convolve(s, x, x)
-        with pytest.raises(IndexError):
-            FilterSpec(kernel=x).apply(l, s, x)
 
 
 class TestSampling:
@@ -682,30 +679,6 @@ class TestCommutatorNorm:
         want = commutator_norm(m, l)
         assert commutator_norm(np.ldexp(m, exponent), l) == want
         assert commutator_norm(m, np.ldexp(l.matrix, -exponent)) == want
-
-
-class TestFilterSpec:
-    def test_exactly_one_variant(self):
-        with pytest.raises(ValueError):
-            FilterSpec()
-        with pytest.raises(ValueError):
-            FilterSpec(band=(1,), coeffs=(1.0,))
-
-    def test_band_apply(self, rng):
-        l = random_laplacian(rng)
-        s = eigendecompose(l)
-        x = rng.standard_normal(l.n)
-        np.testing.assert_array_equal(
-            FilterSpec(band=(1, 2)).apply(l, s, x), bandpass(s, [1, 2], x)
-        )
-
-    def test_coeffs_apply(self, rng):
-        l = random_laplacian(rng)
-        x = rng.standard_normal(l.n)
-        np.testing.assert_array_equal(
-            FilterSpec(coeffs=(1.0, 2.0)).apply(l, None, x),
-            poly_filter(l, [1.0, 2.0], x),
-        )
 
 
 class TestFitContinuousFilter:
