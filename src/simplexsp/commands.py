@@ -216,11 +216,17 @@ def cmd_filter(args):
     return {"band": args.band, "poly": args.poly}, [args.laplacian, args.signals], [args.out], None
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParseError(f"--seed {seed}: the seed must be non-negative")
+
+
 def cmd_learn(args):
     from .structure_learning import build_family, family_manifest, select_model
 
     if not 0 < args.r1 <= 1:
         raise ParseError(f"--r1 {args.r1!r}: the low-band fraction must lie in (0, 1]")
+    _check_seed(args.seed)
     g = load_graph(args.graph, args.invert_similarity)
     inputs = [args.graph]
     if args.signals:
@@ -356,7 +362,13 @@ def cmd_fit_filter(args):
         raise ParseError(f"--degree {args.degree}: the polynomial degree must be at least 1")
     if args.t_grid < 2:
         raise ParseError(f"--t-grid {args.t_grid}: the grid needs at least 2 points")
+    _check_seed(args.seed)
     g = load_graph(args.graph, args.invert_similarity)
+    # L x, ..., L^b x span at most n dimensions, and the fit's Gram matrix
+    # has b^2 entries
+    if args.degree > g.n:
+        raise ParseError(f"--degree {args.degree}: the polynomial degree must be at most "
+                         f"the vertex count ({g.n})")
     _, signals = load_signals(args.signals)
     _check_rows(args.signals, signals, g.n)
     if signals.shape[1] < 2:
@@ -368,8 +380,6 @@ def cmd_fit_filter(args):
     out = _write_json(Path(args.out), result)
     config = {"degree": args.degree, "p": args.p, "t_grid": args.t_grid}
     return config, [args.graph, args.signals], [out], args.seed
-
-
 
 
 COMMANDS = {

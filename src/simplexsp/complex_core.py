@@ -182,11 +182,6 @@ class SimplicialComplex:
         """The weighted 1-skeleton."""
         return self._graph
 
-    def dim(self) -> int:
-        if self.simplices:
-            return max(len(s) for s in self.simplices) - 1
-        return 1 if self.edges else 0
-
     def triangles(self) -> list:
         """Sorted list of stored 2-simplices."""
         key = self._graph.index.__getitem__

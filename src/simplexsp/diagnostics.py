@@ -22,7 +22,7 @@ from .laplacian import (
     is_graph_type,
     two_simplex_closed_form,
 )
-from .spectral import _gvd_values, _norm_scale, commutator_norm
+from .spectral import _gvd_values, _norm_scale, _q_factor, commutator_norm
 
 # tolerances at unit lengths; the entries compared against them scale with
 # the lengths, so each is multiplied by the longest edge length
@@ -273,6 +273,17 @@ def sandwich_bounds(x: SimplicialComplex) -> SandwichBounds:
     return _sandwich(x, _facts(x))
 
 
+def _complement_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the complement of the constant vector: the first
+    n - 1 columns of the Q factor of I - J/n, in C order like ``np.linalg.qr``'s.
+
+    I - J/n is built in one array, with the entries 1 - 1/n and 0 - 1/n
+    computed as ``np.eye(n) - np.full((n, n), 1 / n)`` computes them."""
+    m = np.full((n, n), -1.0 / n, order="F")
+    np.fill_diagonal(m, 1.0 - 1.0 / n)
+    return np.ascontiguousarray(_q_factor(m))[:, : n - 1]
+
+
 def _sandwich(x, f: _Facts) -> SandwichBounds:
     if not _unit(x):
         raise ComplexError("sandwich bounds require unit edge weights")
@@ -280,11 +291,14 @@ def _sandwich(x, f: _Facts) -> SandwichBounds:
         raise ComplexError("sandwich bounds require a connected complex")
     if x.n < 2:
         raise ComplexError("sandwich bounds need at least two vertices")
-    n = x.n
-    # orthonormal basis of the complement of the constant vector
-    basis = np.linalg.qr(np.eye(n) - np.full((n, n), 1.0 / n))[0][:, : n - 1]
-    a = basis.T @ f.l_x @ basis
+    basis = _complement_basis(x.n)
+    # each product is formed in C order, whose bits the Fortran layout does
+    # not keep, and handed to LAPACK as the Fortran copy it would make itself;
+    # b's copy is made once the basis is released, so it can take its memory
+    a = np.asfortranarray(basis.T @ f.l_x @ basis)
     b = basis.T @ f.l_g @ basis
+    del basis
+    b = np.asfortranarray(b)
     vals = _gvd_values(a, b)
     k_min, k_max = _edge_triangle_stats(f.inc)
     return SandwichBounds(

@@ -7,7 +7,6 @@ line context; serialize -> parse roundtrips are exact.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -259,5 +258,8 @@ def save_matrix_json(l: GeneralizedLaplacian, path) -> None:
 
 
 def file_digest(path) -> str:
+    """SHA-256 hex digest of a file's bytes."""
+    import hashlib  # loads OpenSSL (about 3.7 MB), so only when a digest is taken
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 

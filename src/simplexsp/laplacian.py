@@ -241,10 +241,13 @@ def shape_constant(w12: float, w13: float, w23: float) -> float:
 
 
 def is_graph_type(l: GeneralizedLaplacian | np.ndarray, tol: float = 0.0) -> bool:
-    """True iff diagonal entries >= -tol and off-diagonal entries <= tol."""
+    """True iff diagonal entries are finite and >= -tol and off-diagonal
+    entries <= tol."""
     m = l.matrix if isinstance(l, GeneralizedLaplacian) else np.asarray(l, dtype=float)
     if tol < 0:
         raise ComplexError(f"tolerance must be non-negative, got {tol}")
     diag = np.diag(m)
-    off = m - np.diag(diag)
-    return bool(np.all(diag >= -tol) and np.all(off <= tol))
+    ok = m <= tol
+    # a diagonal entry d must also pass d - d <= tol, which inf and NaN fail
+    np.fill_diagonal(ok, (diag - diag) <= tol)
+    return bool(np.all(diag >= -tol) and ok.all())

@@ -133,11 +133,32 @@ def _evr(sym: np.ndarray, lo: int, hi: int, compute_v: bool = True) -> tuple:
 def _gvd_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the pencil (a, b), with b positive definite,
     by LAPACK's divide-and-conquer routine dsygvd, called with the arguments
-    that ``scipy.linalg.eigh(a, b, eigvals_only=True)`` passes."""
-    vals, _, info = _flapack().dsygvd(a, b, itype=1, jobz="N", uplo="L")
+    that ``scipy.linalg.eigh(a, b, eigvals_only=True)`` passes.  A
+    Fortran-ordered float64 operand is overwritten; any other is copied."""
+    vals, _, info = _flapack().dsygvd(
+        a, b, itype=1, jobz="N", uplo="L", overwrite_a=1, overwrite_b=1
+    )
     if info != 0:
         raise np.linalg.LinAlgError(f"dsygvd failed (info {info})")
     return vals
+
+
+def _q_factor(a: np.ndarray) -> np.ndarray:
+    """The Q factor of a square Fortran-ordered float64 matrix, computed in
+    place, so that ``a`` holds Q afterwards, by LAPACK's dgeqrf and dorgqr.
+    Their workspaces are the sizes the workspace queries give, as in
+    ``np.linalg.qr``; the blocked algorithm they select is part of Q's bits."""
+    lapack = _flapack()
+    lwork, info = lapack.dgeqrf_lwork(*a.shape)
+    if info == 0:
+        qr, tau, _, info = lapack.dgeqrf(a, lwork=int(lwork), overwrite_a=1)
+    if info == 0:  # the query reads neither operand, so it copies nothing
+        _, work, info = lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)
+    if info == 0:
+        q, _, info = lapack.dorgqr(qr, tau, lwork=int(work[0]), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QR factorisation failed (info {info})")
+    return q
 
 
 def _low_pairs(sym: np.ndarray, k: int) -> tuple:

@@ -9,7 +9,6 @@ with one generalized Laplacian per level.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -275,6 +274,8 @@ def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
 
 def family_manifest(family: LaplacianFamily) -> dict:
     """JSON-ready summary of a learned family (deterministic field order)."""
+    import hashlib  # loads OpenSSL (about 3.7 MB), so only when a manifest is built
+
     added = [len(fills) for *_, fills in family.updates]
     edges = itertools.accumulate(added, initial=len(family.graph.edges))
     triangles = itertools.accumulate(map(len, family.batches), initial=0)

@@ -6,12 +6,13 @@ non-negative.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from simplexsp import SimplicialComplex, WeightedGraph
+from simplexsp import SimplicialComplex, WeightedGraph, enumerate_candidate_triangles, knn_graph
 
 
 def random_metric_complex(
@@ -33,6 +34,28 @@ def random_metric_complex(
             if k > j and rng.random() < triangle_prob:
                 triangles.append((i, j, k))
     return SimplicialComplex(range(n), edges, triangles)
+
+
+def planted_knn_complex(n, seed=0):
+    """Unit-length kNN(k=8) graph of n uniform points in the unit square,
+    with a random half of its closed triangles, as perfbench's diagnose
+    workload draws it."""
+    rng = np.random.default_rng(seed)
+    g = knn_graph(rng.random((n, 2)), 8)
+    tris = enumerate_candidate_triangles(g)
+    keep = np.sort(rng.choice(len(tris), size=len(tris) // 2, replace=False))
+    return SimplicialComplex(g.vertices, g.edges, [tris[i] for i in keep])
+
+
+def traced(fn):
+    """(bytes held with the result of ``fn()`` alive, peak bytes) of one
+    call, by tracemalloc, which counts numpy's array buffers."""
+    tracemalloc.start()
+    try:
+        result = fn()  # alive while the memory is read
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 def random_positive_triple(rng, lo=0.1, hi=10.0):

@@ -17,7 +17,6 @@ from simplexsp import (
     connected_components,
     generate_bandlimited_set,
     generate_smooth_signals,
-    is_graph_type,
     maximal_simplices,
     perturb_node,
     shape_constant,
@@ -205,6 +204,20 @@ def eigendecompose_symmetrising(l, upto=None):
 def save_matrix_csv_savetxt(m, path):
     """Reference for :func:`simplexsp.io.save_matrix_csv`: every entry formatted."""
     np.savetxt(path, np.asarray(m, dtype=float), delimiter=",", fmt="%.17g")
+
+
+def is_graph_type_dense(l, tol=0.0):
+    """True iff diagonal entries >= -tol and off-diagonal entries <= tol.
+
+    Reference for :func:`simplexsp.laplacian.is_graph_type`: the
+    off-diagonal part formed as a dense float matrix.
+    """
+    m = l.matrix if isinstance(l, GeneralizedLaplacian) else np.asarray(l, dtype=float)
+    if tol < 0:
+        raise ComplexError(f"tolerance must be non-negative, got {tol}")
+    diag = np.diag(m)
+    off = m - np.diag(diag)
+    return bool(np.all(diag >= -tol) and np.all(off <= tol))
 
 
 def complex_laplacian_reference(x):
@@ -612,7 +625,7 @@ def diagnostics_report_reference(x):
 
     return DiagnosticsReport(
         gamma_min=min(gammas) if gammas else None,
-        graph_type=is_graph_type(l_x, tol=1e-12 * length),
+        graph_type=is_graph_type_dense(l_x, tol=1e-12 * length),
         k_min=k_min,
         k_max=k_max,
         m1=m1,

@@ -1,11 +1,16 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simplexsp
 from simplexsp import (
     ComplexError,
     GeneralizedLaplacian,
@@ -13,6 +18,7 @@ from simplexsp import (
     NumericalError,
     SimplicialComplex,
     complex_laplacian,
+    diagnostics,
     diagnostics_report,
     distinctive_check,
     from_edge_list,
@@ -21,9 +27,17 @@ from simplexsp import (
     lemma2_audit,
     sandwich_bounds,
     shift_invariance_certificate,
+    spectral,
 )
 
-from conftest import LENGTHS, pendant_complex, random_complexes, random_metric_complex
+from conftest import (
+    LENGTHS,
+    pendant_complex,
+    planted_knn_complex,
+    random_complexes,
+    random_metric_complex,
+    traced,
+)
 from oracles import diagnostics_report_reference, distinctive_check_reference
 
 
@@ -347,3 +361,54 @@ def test_report_matches_loop_reference(x):
     got = json.dumps(diagnostics_report(x).as_dict())
     assert got == json.dumps(diagnostics_report_reference(x).as_dict())
     assert distinctive_check(x) == distinctive_check_reference(x)
+
+
+def test_report_bytes_match_reference_at_blocked_sizes():
+    # sizes where LAPACK's QR runs blocked: the wrappers' default workspace of
+    # 3n changes the report at n = 129, 300 and 500, and products with Q in
+    # Fortran order at n = 50 and 100.  One BLAS thread, as perfbench runs:
+    # numpy's and scipy's OpenBLAS builds split threaded work differently,
+    # and the thread count alone moves the last bits of the commutator and
+    # the sandwich.
+    code = (
+        "import json\n"
+        "from conftest import planted_knn_complex\n"
+        "from oracles import diagnostics_report_reference\n"
+        "from simplexsp import diagnostics_report\n"
+        "for n in (50, 100, 129, 300, 500):\n"
+        "    x = planted_knn_complex(n)\n"
+        "    got = diagnostics_report(x).as_dict()\n"
+        "    assert got['sandwich'] is not None\n"
+        "    if json.dumps(got) != json.dumps(diagnostics_report_reference(x).as_dict()):\n"
+        "        print(n)\n"
+    )
+    paths = [str(Path(simplexsp.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+class TestPeakMemory:
+    """tracemalloc peaks in n x n float64 arrays, at n = 300."""
+
+    N = 300
+    ARRAY = 8 * N * N
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        spectral._flapack()  # loading the LAPACK extension allocates objects of its own
+        return planted_knn_complex(self.N)
+
+    def test_report(self, x):
+        # L_X and L_{X^1}, then four arrays in the commutator or the sandwich;
+        # the incidence arrays held beside them grow with the edges and
+        # triangles, not with n^2
+        incidence = traced(lambda: diagnostics._incidence(x))[0]
+        assert traced(lambda: diagnostics_report(x))[1] - incidence <= 6.1 * self.ARRAY
+
+    def test_sandwich(self, x):
+        f = diagnostics._facts(x)
+        # the C-ordered basis, the Fortran operand a, and b's two products
+        assert traced(lambda: diagnostics._sandwich(x, f))[1] <= 4.0 * self.ARRAY

@@ -115,6 +115,11 @@ class TestComplexIO:
 
 
 class TestSignalsAndMatrices:
+    def test_file_digest_sha256_vector(self, tmp_path):
+        p = tmp_path / "abc"
+        p.write_bytes(b"abc")
+        assert file_digest(p) == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
     def test_signals_roundtrip(self, tmp_path, rng):
         sig = rng.standard_normal((6, 3))
         p = tmp_path / "s.csv"
@@ -286,6 +291,24 @@ class TestCli:
         assert "--r1" in capsys.readouterr().err
         assert not (out / "family.json").exists() and not list(out.glob("laplacian_*.csv"))
 
+    def test_fit_filter_degree_up_to_vertex_count(self, tmp_path, rng):
+        graph, sig, out = tmp_path / "g.csv", tmp_path / "sig.csv", tmp_path / "fit.json"
+        graph.write_text(SIX_VERTEX_EDGES)
+        save_signals(rng.standard_normal((6, 2)), sig)
+        assert main(["fit-filter", "--graph", str(graph), "--signals", str(sig), "--p", "2",
+                     "--degree", "6", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["coeffs"]) == 6
+
+    def test_learn_negative_seed_exit_2(self, tmp_path, capsys):
+        # numpy's generators refuse a negative seed; the flag is checked first
+        graph, out = tmp_path / "g.csv", tmp_path / "out"
+        graph.write_text(SIX_VERTEX_EDGES)
+        assert main(["learn", "--graph", str(graph), "--p", "2", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("simplexsp: --seed -1: ")
+        assert not out.exists()
+
     def test_diagnose(self, tmp_path):
         cx = write_triangle_complex(tmp_path)
         out = tmp_path / "report.json"
@@ -314,8 +337,12 @@ class TestCli:
         fit = json.loads(out.read_text())
         assert fit["residual"] < 1e-8
 
+    # the degree is bounded by the six vertices once the graph is read;
+    # 100000 would ask for a 75 GiB Gram matrix
     @pytest.mark.parametrize("flag, value", [("--degree", "0"), ("--degree", "-1"),
-                                             ("--t-grid", "1"), ("--t-grid", "0")])
+                                             ("--t-grid", "1"), ("--t-grid", "0"),
+                                             ("--degree", "7"), ("--degree", "100000"),
+                                             ("--seed", "-1")])
     def test_fit_filter_bad_flag_exit_2(self, tmp_path, capsys, flag, value):
         graph, sig, out = tmp_path / "g.csv", tmp_path / "sig.csv", tmp_path / "fit.json"
         graph.write_text(SIX_VERTEX_EDGES)
@@ -851,6 +878,13 @@ def test_import_loads_no_scipy():
         proc = run_fresh(f"import {module}, sys; print({LOADED})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == sorted({"simplexsp", module})
+
+
+def test_io_loads_no_hashlib():
+    # hashlib loads OpenSSL; a digest is taken after a command's work
+    proc = run_fresh("import sys, simplexsp.io; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_help_and_usage_error_load_no_numpy():

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simplexsp import (
     ComplexError,
@@ -25,8 +27,9 @@ from conftest import (
     random_complexes,
     random_metric_complex,
     random_positive_triple,
+    traced,
 )
-from oracles import complex_laplacian_reference
+from oracles import complex_laplacian_reference, is_graph_type_dense
 
 
 class TestGromovProduct:
@@ -294,3 +297,24 @@ class TestIsGraphType:
     def test_negative_tol_rejected(self):
         with pytest.raises(ComplexError):
             is_graph_type(np.zeros((2, 2)), tol=-1.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: hnp.arrays(
+            np.float64, (n, n),
+            elements=st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-12]),
+                               st.floats(-2.0, 2.0)))),
+        st.sampled_from([0.0, 1e-12, 0.5, np.inf]),
+    )
+    def test_matches_dense_reference(self, m, tol):
+        # an inf or NaN on the diagonal fails m - diag(diag) <= tol in the
+        # reference, whatever its sign; both warn of inf - inf alike
+        with np.errstate(invalid="ignore"):
+            assert is_graph_type(m, tol) == is_graph_type_dense(m, tol)
+
+    def test_no_dense_float_temporaries(self, rng):
+        # a boolean n x n mask is an eighth of a float matrix; the reference
+        # forms two float matrices
+        n = 300
+        m = complex_laplacian(random_metric_complex(rng, n=n, edge_prob=0.02)).matrix
+        assert traced(lambda: is_graph_type(m, 1e-12))[1] <= 0.25 * 8 * n * n
