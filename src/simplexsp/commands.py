@@ -41,6 +41,9 @@ from .spectral import (
 )
 
 LABEL_MAX = 2**31 - 1  # class labels; the bound keeps their int casts and squares finite
+# fit-filter's t grid: a point costs one fit per level pair (41 us on 3 vertices), so a
+# million points, 1e-6 apart, take 41 s a pair; larger grids are refused before allocation
+T_GRID_MAX = 10**6
 
 
 def _write_manifest(command: str, config: dict, inputs: list, outputs: list, seed, t0: float):
@@ -216,9 +219,11 @@ def cmd_filter(args):
     return {"band": args.band, "poly": args.poly}, [args.laplacian, args.signals], [args.out], None
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ParseError(f"--seed {seed}: the seed must be non-negative")
+def _check_flag(flag: str, value, convert) -> None:
+    try:
+        convert(value)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{flag} {value}: {exc}") from exc
 
 
 def cmd_learn(args):
@@ -226,7 +231,7 @@ def cmd_learn(args):
 
     if not 0 < args.r1 <= 1:
         raise ParseError(f"--r1 {args.r1!r}: the low-band fraction must lie in (0, 1]")
-    _check_seed(args.seed)
+    _check_flag("--seed", args.seed, _number(int, 0))
     g = load_graph(args.graph, args.invert_similarity)
     inputs = [args.graph]
     if args.signals:
@@ -358,11 +363,9 @@ def cmd_diagnose(args):
 def cmd_fit_filter(args):
     from .structure_learning import build_family
 
-    if args.degree < 1:
-        raise ParseError(f"--degree {args.degree}: the polynomial degree must be at least 1")
-    if args.t_grid < 2:
-        raise ParseError(f"--t-grid {args.t_grid}: the grid needs at least 2 points")
-    _check_seed(args.seed)
+    _check_flag("--degree", args.degree, _number(int, 1))
+    _check_flag("--t-grid", args.t_grid, _number(int, 2, T_GRID_MAX))
+    _check_flag("--seed", args.seed, _number(int, 0))
     g = load_graph(args.graph, args.invert_similarity)
     # L x, ..., L^b x span at most n dimensions, and the fit's Gram matrix
     # has b^2 entries

@@ -95,7 +95,10 @@ class WeightedGraph:
 
     def laplacian_matrix(self) -> np.ndarray:
         a = self.adjacency_matrix()
-        return np.diag(a.sum(axis=1)) - a
+        d = a.sum(axis=1)
+        # np.diag(d) - a in a's own buffer, bit for bit: 0.0 - a off the diagonal
+        np.fill_diagonal(np.subtract(0.0, a, out=a), d)
+        return a
 
     def __eq__(self, other):
         return (
@@ -184,11 +187,7 @@ class SimplicialComplex:
 
     def triangles(self) -> list:
         """Sorted list of stored 2-simplices."""
-        key = self._graph.index.__getitem__
-        return sorted(
-            (s for s in self.simplices if len(s) == 3),
-            key=lambda t: tuple(key(v) for v in t),
-        )
+        return [s for s in self.sorted_simplices() if len(s) == 3]
 
     def sorted_simplices(self) -> list:
         key = self._graph.index.__getitem__
@@ -259,7 +258,8 @@ def knn_graph(points: Sequence, k: int, weight_mode: str = "unit") -> WeightedGr
     """k-nearest-neighbor graph of a point cloud with union symmetrization.
 
     An edge (u, v) is present iff v is among the k nearest neighbors of u or
-    vice versa.  Distance ties are broken by smaller vertex index.
+    vice versa.  Distance ties are broken by smaller vertex index (a stable
+    sort of each row).  Non-finite coordinates are refused.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -269,21 +269,18 @@ def knn_graph(points: Sequence, k: int, weight_mode: str = "unit") -> WeightedGr
         raise ComplexError(f"k must satisfy 0 < k < n, got k={k}, n={n}")
     if weight_mode not in ("unit", "euclidean"):
         raise ComplexError(f"unknown weight_mode {weight_mode!r}")
+    if not np.isfinite(pts).all():
+        raise ComplexError("point cloud has non-finite coordinates")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     edges: dict = {}
-    for i in range(n):
-        order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
-        for j in order[:k]:
+    for i, order in enumerate(np.argsort(dist, axis=1, kind="stable")):
+        for j in order[order != i][:k].tolist():
             key = (min(i, j), max(i, j))
-            if weight_mode == "unit":
-                edges[key] = 1.0
-            else:
-                if dist[i, j] == 0.0:
-                    raise ComplexError(
-                        f"duplicate points {key}: zero-distance edge has no positive weight"
-                    )
-                edges[key] = float(dist[i, j])
+            if weight_mode == "euclidean" and dist[i, j] == 0.0:
+                raise ComplexError(
+                    f"duplicate points {key}: zero-distance edge has no positive weight")
+            edges[key] = 1.0 if weight_mode == "unit" else float(dist[i, j])
     return WeightedGraph(range(n), edges)
 
 

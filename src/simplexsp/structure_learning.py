@@ -10,7 +10,6 @@ with one generalized Laplacian per level.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +31,14 @@ __all__ = list(_SOURCES["structure_learning"])
 class LaplacianFamily:
     """Nested complexes X_0 c ... c X_p with their generalized Laplacians.
 
-    X_i is the graph plus the triangles of ``batches[:i]``.  ``base`` is L_0;
-    ``updates`` holds per batch (rows, cols, values, fills): the Laplacian
-    entries the batch touched with their values after it, and the vertex
-    pairs it added with their lengths, in order of first use.
+    X_i is the graph plus the triangles of ``batches[:i]``.  ``base`` is L_0's
+    nonzero (rows, cols, values); ``updates`` holds per batch (rows, cols,
+    values, fills): the entries the batch touched with their values after
+    it, and the vertex pairs it added with their lengths, in order of first use.
     """
 
     graph: WeightedGraph
-    base: np.ndarray
+    base: tuple
     updates: list
     batches: list
     bands: list  # (r_lo, r_hi) per filtration band
@@ -56,8 +55,8 @@ class LaplacianFamily:
     def laplacian(self, i: int) -> GeneralizedLaplacian:
         """The Laplacian of X_i, a fresh matrix on every call; provenance in vertex order."""
         self._check(i)
-        m = self.base.copy()
-        for rows, cols, values, _ in self.updates[:i]:
+        m = np.zeros((self.graph.n, self.graph.n))
+        for rows, cols, values, *_ in [self.base, *self.updates[:i]]:
             m[rows, cols] = values
         idx = self.graph.index
         triangles = sorted(itertools.chain(*self.batches[:i]), key=lambda t: [idx[v] for v in t])
@@ -199,8 +198,10 @@ def build_family(
     batches = partition_queue(queue, p)
 
     idx = g.index
-    base = g.laplacian_matrix()
-    lap = base.copy()
+    lap = g.laplacian_matrix()
+    # L_0's zeros are all +0.0, so its nonzero entries rebuild it bit for bit
+    rows, cols = np.nonzero(lap)
+    base = (rows, cols, lap[rows, cols])
     # rows of the vertex pairs so far; False for a graph edge no triangle covers
     covered = {(idx[u], idx[v]): False for u, v in g.edges}
     updates = []
@@ -224,7 +225,7 @@ def build_family(
         rows, cols, values = block_entries(simplices, weights)
         np.add.at(lap, (rows, cols), values)
         # the triangle blocks hold every entry the batch touched
-        rows, cols = np.divmod(np.unique(rows * len(base) + cols), len(base))
+        rows, cols = np.divmod(np.unique(rows * g.n + cols), g.n)
         updates.append((rows, cols, lap[rows, cols], fills))
 
     return LaplacianFamily(g, base, updates, batches, bands, seed)
@@ -292,7 +293,3 @@ def family_manifest(family: LaplacianFamily) -> dict:
         "batches": [[list(t) for t in batch] for batch in family.batches],
         "levels": levels,
     }
-
-
-def manifest_json(family: LaplacianFamily) -> str:
-    return json.dumps(family_manifest(family), sort_keys=True)

@@ -6,9 +6,16 @@ non-negative.
 """
 
 import itertools
+import os
 import tracemalloc
 
-import numpy as np
+# one BLAS thread, as perfbench runs every command: the last bits of some
+# results depend on the thread count, so byte comparisons hold only at a
+# fixed one.  Set before numpy loads, which reads them once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import strategies as st
 

@@ -15,6 +15,10 @@ from simplexsp import (
     WeightedGraph,
     complex_laplacian,
     connected_components,
+    enumerate_candidate_triangles,
+    filtration_bands,
+    order_within_band,
+    partition_queue,
     generate_bandlimited_set,
     generate_smooth_signals,
     maximal_simplices,
@@ -27,6 +31,7 @@ from simplexsp.diagnostics import DiagnosticsReport, DistinctiveResult, Sandwich
 from simplexsp.laplacian import (
     GeneralizedLaplacian,
     _two_simplex_matrix,
+    block_entries,
     simplex_laplacian,
     star_expansion,
 )
@@ -40,6 +45,106 @@ from simplexsp.spectral import (
     gft,
     igft,
 )
+from simplexsp.structure_learning import _triple_weights
+
+
+def laplacian_matrix_dense(g):
+    """D - A of a weighted graph.
+
+    Reference for :meth:`simplexsp.WeightedGraph.laplacian_matrix`, which
+    forms it in the adjacency array: the degree diagonal as its own matrix.
+    """
+    a = g.adjacency_matrix()
+    return np.diag(a.sum(axis=1)) - a
+
+
+def family_laplacians_dense(g, p, num_bands=1, seed=0, mode="closed"):
+    """The matrix of every level of ``build_family(g, p, num_bands, seed, mode)``.
+
+    Reference for :class:`simplexsp.LaplacianFamily`, which keeps only L_0's
+    nonzero entries: the family's assembly with L_0 kept as a dense matrix,
+    each level a copy of it with the updates of its batches written over it.
+    """
+    triples, wmap = _triple_weights(g, enumerate_candidate_triangles(g, mode), mode)
+    _, members = filtration_bands(triples, wmap, num_bands)
+    queue = [t for i, band in enumerate(members) for t in order_within_band(band, seed + i)]
+    idx = g.index
+    base = laplacian_matrix_dense(g)
+    lap = base.copy()
+    covered = {(idx[u], idx[v]): False for u, v in g.edges}
+    updates = []
+    for batch in partition_queue(queue, p):
+        simplices, weights = [], []
+        for t in batch:
+            rows = [idx[v] for v in t]
+            tri_weights = [wmap[frozenset(e)] for e in itertools.combinations(t, 2)]
+            for pair, w in zip(itertools.combinations(rows, 2), tri_weights):
+                if covered.get(pair) is False:
+                    simplices.append(pair)
+                    weights.append([-w])
+                covered[pair] = True
+            simplices.append(rows)
+            weights.append(tri_weights)
+        rows, cols, values = block_entries(simplices, weights)
+        np.add.at(lap, (rows, cols), values)
+        rows, cols = np.divmod(np.unique(rows * len(base) + cols), len(base))
+        updates.append((rows, cols, lap[rows, cols]))
+    levels = []
+    for i in range(p + 1):
+        m = base.copy()
+        for rows, cols, values in updates[:i]:
+            m[rows, cols] = values
+        levels.append(m)
+    return levels
+
+
+def commutator_norm_abs_copies(l1, l2) -> float:
+    """Normalized Frobenius norm of L1 L2 - L2 L1, scaled by powers of two.
+
+    Reference for :func:`simplexsp.commutator_norm`: each operand's largest
+    magnitude read from an ``np.abs`` copy, and the difference of the
+    products written as one expression.
+    """
+    a = spectral._as_matrix(l1)
+    b = spectral._as_matrix(l2)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    if not (a.any() and b.any()):
+        return 0.0
+    a, b = (np.ldexp(m, -np.frexp(np.abs(m).max())[1]) for m in (a, b))
+    return float(np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def knn_graph_sorted(points, k, weight_mode="unit"):
+    """k-nearest-neighbor graph with union symmetrization.
+
+    Reference for :func:`simplexsp.knn_graph`: each row's neighbours sorted
+    by a Python key of (distance, index).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ComplexError("point cloud must be a non-empty 2d array")
+    n = pts.shape[0]
+    if not 0 < k < n:
+        raise ComplexError(f"k must satisfy 0 < k < n, got k={k}, n={n}")
+    if weight_mode not in ("unit", "euclidean"):
+        raise ComplexError(f"unknown weight_mode {weight_mode!r}")
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    edges: dict = {}
+    for i in range(n):
+        order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
+        for j in order[:k]:
+            key = (min(i, j), max(i, j))
+            if weight_mode == "unit":
+                edges[key] = 1.0
+            else:
+                if dist[i, j] == 0.0:
+                    raise ComplexError(
+                        f"duplicate points {key}: zero-distance edge has no positive weight"
+                    )
+                edges[key] = float(dist[i, j])
+    return WeightedGraph(range(n), edges)
 
 
 def maximal_simplices_quadratic(x):

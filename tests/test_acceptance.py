@@ -7,6 +7,7 @@ that were reached.
 """
 
 import itertools
+import json
 import sys
 import time
 
@@ -46,7 +47,7 @@ from simplexsp import (
     two_simplex_closed_form,
 )
 from simplexsp import connected_components
-from simplexsp.structure_learning import build_family, manifest_json
+from simplexsp.structure_learning import build_family, family_manifest
 
 import conftest
 from conftest import pendant_complex, random_metric_complex, random_positive_triple
@@ -216,7 +217,10 @@ def test_criterion_09_pipeline_determinism():
     rng = np.random.default_rng(9)
     x = random_metric_complex(rng, n=30, edge_prob=0.4, triangle_prob=1.0)
     g = x.graph()
-    manifests = {manifest_json(build_family(g, p=6, num_bands=2, seed=42)) for _ in range(2)}
+    manifests = {
+        json.dumps(family_manifest(build_family(g, p=6, num_bands=2, seed=42)), sort_keys=True)
+        for _ in range(2)
+    }
     _report(9, "learning pipeline bit-identical manifests", len(manifests) == 1)
 
 

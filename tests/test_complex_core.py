@@ -2,7 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexsp import (
     ComplexError,
@@ -18,8 +19,15 @@ from simplexsp import (
     skeleton,
 )
 
-from conftest import random_complexes
-from oracles import maximal_simplices_quadratic
+from conftest import random_complexes, random_graphs
+from oracles import knn_graph_sorted, laplacian_matrix_dense, maximal_simplices_quadratic
+
+# one to three coordinates from a few values, so that distances tie and
+# points repeat, or from a float range
+POINT_CLOUDS = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-3.0, 3.0), min_size=d, max_size=d),
+    min_size=2, max_size=12,
+))
 
 class TestFromEdgeList:
     def test_default_weights(self):
@@ -116,6 +124,37 @@ class TestKnnGraph:
     def test_euclidean_weights(self):
         g = knn_graph([[0.0, 0.0], [3.0, 4.0]], k=1, weight_mode="euclidean")
         assert g.edges[(0, 1)] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ComplexError, match="non-finite"):
+            knn_graph([[0.0], [bad], [1.0]], k=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(POINT_CLOUDS, st.integers(1, 11), st.sampled_from(["unit", "euclidean"]))
+    @example([[0.0], [0.0], [1.0], [2.0], [2.0]], 2, "euclidean")
+    @example([[0.0], [1.0], [-1.0], [2.0], [-2.0]], 2, "unit")
+    def test_matches_sorted_reference(self, points, k, weight_mode):
+        k = min(k, len(points) - 1)
+        try:
+            want = knn_graph_sorted(points, k, weight_mode)
+        except ComplexError as exc:
+            with pytest.raises(ComplexError) as got:
+                knn_graph(points, k, weight_mode)
+            assert str(got.value) == str(exc)
+            return
+        got = knn_graph(points, k, weight_mode)
+        assert list(got.edges.items()) == list(want.edges.items())
+
+
+class TestLaplacianMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs())
+    @example(WeightedGraph([0, 1, 2, 3], {(0, 1): 0.3, (1, 2): 7.5}))  # vertex 3 isolated
+    def test_matches_dense_reference_bytes(self, g):
+        # int64 views tell 0.0 from -0.0
+        want = laplacian_matrix_dense(g).view(np.int64)
+        assert np.array_equal(g.laplacian_matrix().view(np.int64), want)
 
 
 class TestEnumerateTriangles:

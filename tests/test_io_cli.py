@@ -15,7 +15,10 @@ from hypothesis.extra import numpy as hnp
 
 import simplexsp
 from simplexsp import SimplicialComplex, complex_laplacian, from_edge_list
+from simplexsp import commands
 from simplexsp.cli import main
+from simplexsp.commands import T_GRID_MAX
+from simplexsp.spectral import FilterFit
 from simplexsp.io import (
     ParseError,
     file_digest,
@@ -309,6 +312,16 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("simplexsp: --seed -1: ")
         assert not out.exists()
 
+    def test_learn_huge_seed_exit_2(self, tmp_path, capsys):
+        # an int too large for a float is refused, as a config file's seed is
+        graph, out, seed = tmp_path / "g.csv", tmp_path / "out", "1" + "0" * 400
+        graph.write_text(SIX_VERTEX_EDGES)
+        assert main(["learn", "--graph", str(graph), "--p", "2", "--seed", seed,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"simplexsp: --seed {seed}: ")
+        assert not out.exists()
+
     def test_diagnose(self, tmp_path):
         cx = write_triangle_complex(tmp_path)
         out = tmp_path / "report.json"
@@ -338,11 +351,15 @@ class TestCli:
         assert fit["residual"] < 1e-8
 
     # the degree is bounded by the six vertices once the graph is read;
-    # 100000 would ask for a 75 GiB Gram matrix
+    # 100000 would ask for a 75 GiB Gram matrix.  The t grid is bounded
+    # before anything is read, so no grid is allocated
     @pytest.mark.parametrize("flag, value", [("--degree", "0"), ("--degree", "-1"),
                                              ("--t-grid", "1"), ("--t-grid", "0"),
+                                             ("--t-grid", str(T_GRID_MAX + 1)),
+                                             ("--t-grid", str(10**100)),
                                              ("--degree", "7"), ("--degree", "100000"),
-                                             ("--seed", "-1")])
+                                             ("--degree", "1" + "0" * 400),
+                                             ("--seed", "-1"), ("--seed", "1" + "0" * 400)])
     def test_fit_filter_bad_flag_exit_2(self, tmp_path, capsys, flag, value):
         graph, sig, out = tmp_path / "g.csv", tmp_path / "sig.csv", tmp_path / "fit.json"
         graph.write_text(SIX_VERTEX_EDGES)
@@ -353,6 +370,22 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"simplexsp: {flag} {value}: ")
         assert not out.exists() and not (tmp_path / "fit-filter.manifest.json").exists()
+
+    def test_fit_filter_t_grid_bound_accepted(self, tmp_path, monkeypatch):
+        # the largest grid reaches the fit; a stand-in fit keeps it unallocated
+        seen = []
+
+        def fit(levels, x1, x2, b, t_grid):
+            seen.append(t_grid)
+            return FilterFit(0, 1.0, np.zeros(b), 0.0)
+
+        monkeypatch.setattr(commands, "fit_continuous_filter", fit)
+        graph, sig, out = tmp_path / "g.csv", tmp_path / "sig.csv", tmp_path / "fit.json"
+        graph.write_text(SIX_VERTEX_EDGES)
+        save_signals(np.ones((6, 2)), sig)
+        assert main(["fit-filter", "--graph", str(graph), "--signals", str(sig), "--p", "2",
+                     "--t-grid", str(T_GRID_MAX), "--out", str(out)]) == 0
+        assert seen == [T_GRID_MAX]
 
     def test_compress_experiment(self, tmp_path, rng):
         x = random_metric_complex(rng, n=12, edge_prob=0.7, triangle_prob=1.0)

@@ -32,7 +32,7 @@ from simplexsp.spectral import SIGN_EPS, TIE_TOL, _fix_signs
 from simplexsp.tasks import two_cluster_graph
 
 from conftest import LENGTHS, random_complexes, random_graphs, random_metric_complex
-from oracles import eigendecompose_symmetrising, fix_signs_loop
+from oracles import commutator_norm_abs_copies, eigendecompose_symmetrising, fix_signs_loop
 
 
 def path_laplacian():
@@ -654,6 +654,11 @@ class TestPolyFilter:
         assert commutator_norm(m, l.matrix) > 1e-6
 
 
+TRIANGLE_AND_PENDANT = SimplicialComplex(
+    range(1, 5), {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0, (3, 4): 1.0}, [(1, 2, 3)]
+)
+
+
 class TestCommutatorNorm:
     def test_self_commutes(self, rng):
         l = random_laplacian(rng)
@@ -679,6 +684,20 @@ class TestCommutatorNorm:
         want = commutator_norm(m, l)
         assert commutator_norm(np.ldexp(m, exponent), l) == want
         assert commutator_norm(m, np.ldexp(l.matrix, -exponent)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_complexes(weight=LENGTHS), st.floats(-170.0, 200.0), st.integers(0, 2**32 - 1))
+    @example(TRIANGLE_AND_PENDANT, -170.0, 0)
+    @example(TRIANGLE_AND_PENDANT, 200.0, 0)
+    def test_matches_abs_copy_reference_bytes(self, x, exponent, seed):
+        # lengths from 1e-170 to 1e200, and a dense operand of either sign
+        length = 10.0**exponent
+        l_x = complex_laplacian(x).matrix * length
+        l_g = x.graph().laplacian_matrix() * length
+        noise = np.random.default_rng(seed).standard_normal(l_g.shape) * length
+        for a, b in ((l_x, l_g), (l_g, noise), (noise, l_x)):
+            want = np.float64(commutator_norm_abs_copies(a, b)).tobytes()
+            assert np.float64(commutator_norm(a, b)).tobytes() == want
 
 
 class TestFitContinuousFilter:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,12 +23,17 @@ from simplexsp import (
     select_model,
     two_simplex_closed_form,
 )
-from simplexsp.structure_learning import _triple_weights, manifest_json
+from simplexsp.structure_learning import _triple_weights
 
 from simplexsp.tasks import two_cluster_graph
 
 from conftest import LENGTHS, VERTEX_POOL, random_graphs, random_metric_complex
-from oracles import family_levels_reference, filtration_bands_loop, order_within_band_quadratic
+from oracles import (
+    family_laplacians_dense,
+    family_levels_reference,
+    filtration_bands_loop,
+    order_within_band_quadratic,
+)
 
 
 @st.composite
@@ -255,6 +261,16 @@ class TestBuildFamily:
             assert levels[i]["num_edges"] == len(x.edges)
             assert levels[i]["num_triangles"] == len(x.simplices)
 
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(), st.sampled_from(["closed", "all"]), st.integers(1, 3),
+           st.integers(1, 4), st.integers(0, 50))
+    def test_matches_dense_base_bytes(self, g, mode, bands, p, seed):
+        # int64 views tell 0.0 from -0.0
+        fam = build_family(g, p=p, num_bands=bands, seed=seed, mode=mode)
+        want = family_laplacians_dense(g, p, bands, seed, mode)
+        for i in range(fam.p + 1):
+            assert np.array_equal(fam.laplacian(i).matrix.view(np.int64), want[i].view(np.int64))
+
     @pytest.mark.parametrize("reader", ["laplacian", "complex"])
     def test_level_out_of_range(self, reader):
         fam = build_family(from_edge_list([(1, 2), (1, 3), (2, 3)]).graph(), p=2)
@@ -263,9 +279,10 @@ class TestBuildFamily:
                 getattr(fam, reader)(i)
 
     def test_held_memory_does_not_grow_with_p(self):
-        # a family keeps L_0 and what each batch changed, not a matrix per level
+        # a family keeps L_0's nonzero entries and what each batch changed,
+        # not a matrix per level nor a dense L_0
         g = two_cluster_graph(300, p_in=0.03, p_out=0.002, seed=0)
-        build_family(g, p=1)  # the graph caches its adjacency matrix on first use
+        build_family(g, p=1)  # the graph caches its adjacency sets on first use
         held = {}
         for p in (1, 10):
             tracemalloc.start()
@@ -274,7 +291,7 @@ class TestBuildFamily:
             tracemalloc.stop()
             del fam
         n2 = 8 * g.n**2  # bytes of one dense level
-        assert held[1] < 2 * n2
+        assert held[1] < 0.25 * n2
         assert held[10] < held[1] + 0.25 * n2
 
     def test_nesting(self, rng):
@@ -316,7 +333,8 @@ class TestBuildFamily:
         x = random_metric_complex(rng, n=15, edge_prob=0.5, triangle_prob=1.0)
         f1 = build_family(x.graph(), p=5, num_bands=3, seed=11)
         f2 = build_family(x.graph(), p=5, num_bands=3, seed=11)
-        assert manifest_json(f1) == manifest_json(f2)
+        m1, m2 = (json.dumps(family_manifest(f), sort_keys=True) for f in (f1, f2))
+        assert m1 == m2
         for i in range(f1.p + 1):
             assert f1.laplacian(i).matrix.tobytes() == f2.laplacian(i).matrix.tobytes()
 
