@@ -407,7 +407,8 @@ def run(args) -> int:
     except (ParseError, ComplexError, OSError, KeyError) as exc:
         print(f"simplexsp: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"simplexsp: numerical failure: {exc}", file=sys.stderr)
+    except (NumericalError, np.linalg.LinAlgError, MemoryError) as exc:
+        # a bare MemoryError has no message; numpy's names the allocation
+        print(f"simplexsp: numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -271,16 +271,19 @@ def knn_graph(points: Sequence, k: int, weight_mode: str = "unit") -> WeightedGr
         raise ComplexError(f"unknown weight_mode {weight_mode!r}")
     if not np.isfinite(pts).all():
         raise ComplexError("point cloud has non-finite coordinates")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
     edges: dict = {}
-    for i, order in enumerate(np.argsort(dist, axis=1, kind="stable")):
-        for j in order[order != i][:k].tolist():
-            key = (min(i, j), max(i, j))
-            if weight_mode == "euclidean" and dist[i, j] == 0.0:
-                raise ComplexError(
-                    f"duplicate points {key}: zero-distance edge has no positive weight")
-            edges[key] = 1.0 if weight_mode == "unit" else float(dist[i, j])
+    # 32 rows of distances at a time: each entry and each row's sort is
+    # computed as over the whole n x n matrix, in O(n) memory
+    for start in range(0, n, 32):
+        diff = pts[start:start + 32, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        for i, row, order in zip(range(start, n), dist, np.argsort(dist, axis=1, kind="stable")):
+            for j in order[order != i][:k].tolist():
+                key = (min(i, j), max(i, j))
+                if weight_mode == "euclidean" and row[j] == 0.0:
+                    raise ComplexError(
+                        f"duplicate points {key}: zero-distance edge has no positive weight")
+                edges[key] = 1.0 if weight_mode == "unit" else float(row[j])
     return WeightedGraph(range(n), edges)
 
 

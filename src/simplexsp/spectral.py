@@ -113,17 +113,20 @@ def _flapack():
     return module
 
 
-def _evr(sym: np.ndarray, lo: int, hi: int, compute_v: bool = True) -> tuple:
+def _evr(sym: np.ndarray, lo: int, hi: int, compute_v: bool = True,
+         overwrite_a: bool = False) -> tuple:
     """Eigenpairs lo..hi (0-based, inclusive) of a symmetric matrix by
     LAPACK's MRRR routine dsyevr, called with the arguments that
     ``scipy.linalg.eigh(driver="evr", subset_by_index=[lo, hi])`` passes.
-    Without ``compute_v`` the eigenvectors are empty."""
+    Without ``compute_v`` the eigenvectors are empty.  With ``overwrite_a``
+    a Fortran-ordered float64 ``sym`` loses its lower triangle and diagonal
+    instead of being copied."""
     lapack = _flapack()
     lwork, liwork, info = lapack.dsyevr_lwork(sym.shape[0], lower=1)
     if info == 0:
         vals, vecs, m, _, info = lapack.dsyevr(
             sym, compute_v=int(compute_v), range="I", il=lo + 1, iu=hi + 1, lower=1,
-            lwork=int(lwork), liwork=int(liwork),
+            lwork=int(lwork), liwork=int(liwork), overwrite_a=int(overwrite_a),
         )
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
@@ -169,28 +172,47 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
     Each |L_ii| bounds max |lambda| from below and ||L||_inf from above, so
     a gap at or below the low bound is a tie and one above the high bound
     is not; only a gap between them needs the top eigenvalue solved for.
+
+    ``sym`` must be bitwise symmetric.  A writeable C-ordered ``sym`` is
+    solved in its own memory: dsyevr overwrites its upper triangle and
+    diagonal, and every call restores them, from the strict lower triangle
+    and a saved diagonal, before anything else reads ``sym``.  Any other
+    input is copied by each call.
     """
     n = sym.shape[0]
     # sym is exactly symmetric, so its transpose holds the same values; the
-    # transpose of a C-ordered sym is Fortran-ordered, which f2py copies
-    # whole instead of transposing entry by entry
+    # transpose of a C-ordered sym is Fortran-ordered, which dsyevr can use
+    # as it is instead of a copy transposed entry by entry
     a = sym.T
+    in_place = sym.flags.writeable and a.flags.f_contiguous
+    diag = sym.diagonal().copy()
+
+    def evr(first, last, compute_v=True):
+        try:
+            return _evr(a, first, last, compute_v=compute_v, overwrite_a=in_place)
+        finally:
+            if in_place:
+                for i in range(n - 1):
+                    sym[i, i + 1:] = sym[i + 1:, i]
+                np.fill_diagonal(sym, diag)
 
     def solve(w):
         try:
-            return _evr(a, 0, w - 1)
+            return evr(0, w - 1)
         except np.linalg.LinAlgError:
             # MRRR can fail on a slice that ends inside a cluster of nearly
             # equal eigenvalues; the full solve is the fallback
             return np.linalg.eigh(sym)
 
-    lo = TIE_TOL * max(1.0, float(np.abs(np.diag(sym)).max()))
-    hi = TIE_TOL * max(1.0, float(np.abs(sym).sum(axis=1).max()))
+    lo = TIE_TOL * max(1.0, float(np.abs(diag).max()))
+    # row blocks keep the |sym| temporary small; each row sums as a whole
+    hi = TIE_TOL * max(1.0, max(float(np.abs(sym[i:i + 32]).sum(axis=1).max())
+                                for i in range(0, n, 32)))
     vals, vecs = solve(k + 1)  # one extra pair tests the cut
     while True:
         gaps = np.diff(vals)
         if ((lo < gaps) & (gaps <= hi)).any():
-            top = _evr(a, n - 1, n - 1, compute_v=False)[0]
+            top = evr(n - 1, n - 1, compute_v=False)[0]
             lo = hi = TIE_TOL * max(1.0, abs(float(vals[0])), abs(float(top[0])))
         if len(vals) == n or (gaps[k - 1:] > hi).any():
             return vals, vecs, hi
@@ -203,7 +225,9 @@ def eigendecompose(l, upto: int | None = None) -> Spectrum:
     With ``upto=k`` below the order the spectrum is partial: it holds the k
     lowest pairs, and tie blocks are clipped to them.  Below
     PARTIAL_MAX_FRACTION of the order only those pairs are computed, by
-    LAPACK's MRRR routine (dsyevr).  The matrix must be symmetric within
+    LAPACK's MRRR routine (dsyevr), in the memory of a writeable C-ordered
+    matrix, which is restored bit for bit before the call returns; no other
+    thread may read it meanwhile.  The matrix must be symmetric within
     1e-8 of max(1, its Frobenius norm).
     """
     m = _as_matrix(l)

@@ -268,6 +268,23 @@ def _low_pairs_c_ordered(sym, k):
         vals, vecs = solve(min(n, 2 * len(vals)))
 
 
+def _ordered_spectrum(l, vals, vecs, tol, k):
+    """The Spectrum of solved pairs under eigendecompose's conventions:
+    signs fixed, columns ordered inside tie blocks, k columns kept."""
+    vecs = spectral._fix_signs(vecs)
+    blocks = []
+    start = 0
+    for j in range(1, len(vals) + 1):
+        if j == len(vals) or vals[j] - vals[j - 1] > tol:
+            if j - start > 1 and start < k:
+                order = sorted(range(start, j), key=lambda c: tuple(vecs[:, c]))
+                vecs[:, start:j] = vecs[:, order]
+                blocks.append((start, min(j, k)))
+            start = j
+    verts = l.vertices if isinstance(l, GeneralizedLaplacian) else ()
+    return Spectrum(vals[:k], vecs[:, :k], tuple(verts), tuple(blocks))
+
+
 def eigendecompose_symmetrising(l, upto=None):
     """Symmetric eigendecomposition of (m + m.T) / 2, always computed.
 
@@ -292,18 +309,63 @@ def eigendecompose_symmetrising(l, upto=None):
             tol = TIE_TOL * max(1.0, float(np.abs(vals).max(initial=0.0)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    vecs = spectral._fix_signs(vecs)
-    blocks = []
-    start = 0
-    for j in range(1, len(vals) + 1):
-        if j == len(vals) or vals[j] - vals[j - 1] > tol:
-            if j - start > 1 and start < k:
-                order = sorted(range(start, j), key=lambda c: tuple(vecs[:, c]))
-                vecs[:, start:j] = vecs[:, order]
-                blocks.append((start, min(j, k)))
-            start = j
-    verts = l.vertices if isinstance(l, GeneralizedLaplacian) else ()
-    return Spectrum(vals[:k], vecs[:, :k], tuple(verts), tuple(blocks))
+    return _ordered_spectrum(l, vals, vecs, tol, k)
+
+
+def _low_pairs_copying(sym, k):
+    """The lowest pairs of ``sym`` by MRRR, as spectral._low_pairs finds
+    them, but with dsyevr copying its operand on every call and an n x n
+    |sym| for the tie bound."""
+    n = sym.shape[0]
+    a = sym.T
+
+    def solve(w):
+        try:
+            return spectral._evr(a, 0, w - 1)
+        except np.linalg.LinAlgError:
+            return np.linalg.eigh(sym)
+
+    lo = TIE_TOL * max(1.0, float(np.abs(np.diag(sym)).max()))
+    hi = TIE_TOL * max(1.0, float(np.abs(sym).sum(axis=1).max()))
+    vals, vecs = solve(k + 1)
+    while True:
+        gaps = np.diff(vals)
+        if ((lo < gaps) & (gaps <= hi)).any():
+            top = spectral._evr(a, n - 1, n - 1, compute_v=False)[0]
+            lo = hi = TIE_TOL * max(1.0, abs(float(vals[0])), abs(float(top[0])))
+        if len(vals) == n or (gaps[k - 1:] > hi).any():
+            return vals, vecs, hi
+        vals, vecs = solve(min(n, 2 * len(vals)))
+
+
+def eigendecompose_copying(l, upto=None):
+    """Symmetric eigendecomposition with a deterministic convention.
+
+    Reference for :func:`simplexsp.spectral.eigendecompose`, whose partial
+    solve runs dsyevr in the memory of a writeable C-ordered matrix.
+    """
+    m = spectral._as_matrix(l)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {m.shape}")
+    if upto is not None and upto < 1:
+        raise ValueError(f"upto must be >= 1, got {upto}")
+    scale = spectral._norm_scale(m)
+    if m.dtype == np.float64 and np.array_equal(m.view(np.int64), m.T.view(np.int64)):
+        sym = m
+    elif np.linalg.norm(m - m.T) > 1e-8 * scale:
+        raise NumericalError("matrix is not symmetric within tolerance")
+    else:
+        sym = (m + m.T) / 2.0
+    k = len(sym) if upto is None else min(upto, len(sym))
+    try:
+        if k < spectral.PARTIAL_MAX_FRACTION * len(sym):
+            vals, vecs, tol = _low_pairs_copying(sym, k)
+        else:
+            vals, vecs = np.linalg.eigh(sym)
+            tol = TIE_TOL * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    return _ordered_spectrum(l, vals, vecs, tol, k)
 
 
 def save_matrix_csv_savetxt(m, path):

@@ -19,7 +19,7 @@ from simplexsp import (
     skeleton,
 )
 
-from conftest import random_complexes, random_graphs
+from conftest import random_complexes, random_graphs, traced
 from oracles import knn_graph_sorted, laplacian_matrix_dense, maximal_simplices_quadratic
 
 # one to three coordinates from a few values, so that distances tie and
@@ -134,6 +134,9 @@ class TestKnnGraph:
     @given(POINT_CLOUDS, st.integers(1, 11), st.sampled_from(["unit", "euclidean"]))
     @example([[0.0], [0.0], [1.0], [2.0], [2.0]], 2, "euclidean")
     @example([[0.0], [1.0], [-1.0], [2.0], [-2.0]], 2, "unit")
+    # more than one block of rows, with tied distances and repeated points
+    @example(np.random.default_rng(0).integers(0, 9, (100, 2)).tolist(), 8, "unit")
+    @example(np.random.default_rng(1).random((70, 3)).tolist(), 8, "euclidean")
     def test_matches_sorted_reference(self, points, k, weight_mode):
         k = min(k, len(points) - 1)
         try:
@@ -145,6 +148,12 @@ class TestKnnGraph:
             return
         got = knn_graph(points, k, weight_mode)
         assert list(got.edges.items()) == list(want.edges.items())
+
+    def test_peak_memory(self):
+        # rows of distances one block at a time: no n x n array
+        n = 600
+        pts = np.random.default_rng(0).random((n, 2))
+        assert traced(lambda: knn_graph(pts, 8, "euclidean"))[1] <= 1.0 * 8 * n * n
 
 
 class TestLaplacianMatrix:

@@ -519,6 +519,24 @@ class TestCli:
         # the failure line is all: the overflow itself warns nothing
         assert capsys.readouterr().err == "simplexsp: numerical failure: matrix norm is not finite\n"
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"),
+         "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"),
+    ])
+    def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch, exc, message):
+        # an allocation no flag bound foresees fails as one line, not a traceback
+        def spectrum(args):
+            raise exc
+
+        monkeypatch.setitem(commands.COMMANDS, "spectrum", spectrum)
+        lap = tmp_path / "m.csv"
+        lap.write_text("1,-1\n-1,1\n")
+        out = tmp_path / "s.json"
+        assert main(["spectrum", "--laplacian", str(lap), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"simplexsp: numerical failure: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("length", [1e-170, 1e-100, 1e150, 1e200])
     def test_huge_or_tiny_lengths_keep_unit_verdicts(self, tmp_path, capsys, length):
         # the commutator's squares overflow or underflow at these scales
@@ -949,16 +967,20 @@ def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
     runs = [["diagnose", "--complex", str(cx), "--out", str(tmp_path / "report.json")],
             ["learn", "--graph", str(graph), "--p", "2", "--mode", "all",
              "--out", str(tmp_path / "learned")],
+            ["learn", "--graph", str(graph), "--p", "2", "--out", str(tmp_path / "closed")],
             ["denoise", "--config", str(cfg)]]
-    # each command loads only the modules it runs
+    # each command loads only the modules it runs, and none loads numpy.ma,
+    # except through scipy.sparse, which only learn's mode "all" needs
     unloaded = {"diagnose": {"simplexsp.structure_learning", "simplexsp.tasks", "numpy.ma"},
-                "learn": {"simplexsp.diagnostics", "simplexsp.tasks"},
-                "denoise": {"simplexsp.diagnostics"}}
+                "learn": {"simplexsp.diagnostics", "simplexsp.tasks", "numpy.ma"},
+                "denoise": {"simplexsp.diagnostics", "numpy.ma"}}
     for argv in runs:
         proc = run_fresh("import sys; from simplexsp.cli import main\n"
                          f"rc = main({argv!r}); print({LOADED}); sys.exit(rc)")
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
+        if "all" in argv:
+            loaded.discard("numpy.ma")
         assert "simplexsp.commands" in loaded and not loaded & unloaded[argv[0]]
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["sandwich"] is not None

@@ -31,8 +31,13 @@ from simplexsp import spectral
 from simplexsp.spectral import SIGN_EPS, TIE_TOL, _fix_signs
 from simplexsp.tasks import two_cluster_graph
 
-from conftest import LENGTHS, random_complexes, random_graphs, random_metric_complex
-from oracles import commutator_norm_abs_copies, eigendecompose_symmetrising, fix_signs_loop
+from conftest import LENGTHS, random_complexes, random_graphs, random_metric_complex, traced
+from oracles import (
+    commutator_norm_abs_copies,
+    eigendecompose_copying,
+    eigendecompose_symmetrising,
+    fix_signs_loop,
+)
 
 
 def path_laplacian():
@@ -159,6 +164,18 @@ def k5_in_seven():
     return m
 
 
+def undecided_gap_matrix():
+    """A gap of 1.1 TIE_TOL lambda_max after the lowest eigenvalue: not a tie,
+    but it lies between TIE_TOL max |L_ii| and TIE_TOL ||L||_inf, which
+    bound it, so the top eigenvalue decides."""
+    lam = np.array([1.0, 1.0 + 55 * TIE_TOL, 2.0, 3.0, 20.0, 50.0])
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
+    m = q @ np.diag(lam) @ q.T
+    m = (m + m.T) / 2
+    assert np.abs(np.diag(m)).max() < 55 < np.abs(m).sum(axis=1).max()
+    return m
+
+
 def solve_partially():
     """Solve every slice below the order partially, however small the matrix."""
     return mock.patch.object(spectral, "PARTIAL_MAX_FRACTION", 1.0)
@@ -257,14 +274,8 @@ class TestPartialEigendecompose:
         eigendecompose(complex_laplacian(from_edge_list(itertools.combinations(range(5), 2))),
                        upto=2)
         assert calls == [[0, 2], [0, 4]]
-        # a gap of 1.1 TIE_TOL lambda_max: not a tie, but it lies between
-        # TIE_TOL max |L_ii| and TIE_TOL ||L||_inf, which bound it
         calls.clear()
-        lam = np.array([1.0, 1.0 + 55 * TIE_TOL, 2.0, 3.0, 20.0, 50.0])
-        q = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
-        m = q @ np.diag(lam) @ q.T
-        m = (m + m.T) / 2
-        assert np.abs(np.diag(m)).max() < 55 < np.abs(m).sum(axis=1).max()
+        m = undecided_gap_matrix()
         part = eigendecompose(m, upto=1)
         assert calls == [[0, 1], [5, 5]]
         assert part.tie_blocks == () == eigendecompose(m).tie_blocks
@@ -381,6 +392,104 @@ class TestSymmetrisation:
         m[0, 1] = np.nextafter(m[0, 1], 0.0)  # asymmetric within tolerance
         eigendecompose(m)
         assert solved[0] is m and solved[1] is not m
+
+
+# two-cluster Laplacians of more than one row block of the tie bound
+WIDE_LAPLACIANS = st.builds(lambda n, seed: two_cluster_graph(n, seed=seed).laplacian_matrix(),
+                            st.integers(33, 80), st.integers(0, 1000))
+
+
+def laid_out(m, layout, seed):
+    """(m in one memory layout, the whole array holding it); a strided view
+    sits inside a larger array of random values."""
+    if layout == "C":
+        x = np.array(m, order="C")
+    elif layout == "F":
+        x = np.array(m, order="F")
+    elif layout == "read-only":
+        x = np.array(m)
+        x.flags.writeable = False
+    else:
+        whole = np.random.default_rng(seed).standard_normal((2 * len(m), 2 * len(m)))
+        x = whole[::2, ::2]
+        x[...] = m
+        return x, whole
+    return x, x
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestInPlaceSolve:
+    """The partial solve runs dsyevr in the memory of a writeable C-ordered
+    matrix and restores it; the spectrum is that of the copying solver."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(nearly_symmetric(), WIDE_LAPLACIANS),
+           st.sampled_from(["C", "F", "read-only", "strided"]),
+           st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_copying_solver_and_keeps_input(self, m, layout, k, partial, seed):
+        x, whole = laid_out(m, layout, seed)
+        before = whole.copy()
+        for upto in (None, k):
+            with solve_partially() if partial else contextlib.nullcontext():
+                try:
+                    want = eigendecompose_copying(x, upto)
+                except NumericalError:
+                    with pytest.raises(NumericalError):
+                        eigendecompose(x, upto)
+                    continue
+                got = eigendecompose(x, upto)
+            assert same_bits(got.eigenvalues, want.eigenvalues)
+            assert same_bits(got.eigenvectors, want.eigenvectors)
+            assert got.tie_blocks == want.tie_blocks
+            assert same_bits(whole, before)
+
+    @solve_partially()
+    @pytest.mark.parametrize("case, upto, calls", [
+        # MRRR fails on [0, 3]; the full solve falls back
+        ("k5-in-seven", 3, [("evr", [0, 3]), ("eigh", None)]),
+        # K5's cut at 2 lies inside its tie block: a wider re-solve
+        ("k5", 2, [("evr", [0, 2]), ("evr", [0, 4])]),
+        ("undecided-gap", 1, [("evr", [0, 1]), ("evr", [5, 5])]),
+    ])
+    def test_every_solve_reads_the_restored_matrix(self, monkeypatch, case, upto, calls):
+        m = {"k5-in-seven": k5_in_seven,
+             "k5": lambda: complex_laplacian(
+                 from_edge_list(itertools.combinations(range(5), 2))).matrix.copy(),
+             "undecided-gap": undecided_gap_matrix}[case]()
+        original = m.copy()
+        want = eigendecompose_copying(m, upto)
+        seen = []
+        real_evr, real_eigh = spectral._evr, np.linalg.eigh
+
+        def evr(a, lo, hi, **kwargs):
+            assert kwargs["overwrite_a"] and a.base is m
+            seen.append(("evr", [lo, hi], same_bits(a.T, original)))
+            return real_evr(a, lo, hi, **kwargs)
+
+        def eigh(a):
+            seen.append(("eigh", None, a is m and same_bits(a, original)))
+            return real_eigh(a)
+
+        monkeypatch.setattr(spectral, "_evr", evr)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        got = eigendecompose(m, upto)
+        assert [c[:2] for c in seen] == calls and all(c[2] for c in seen)
+        assert same_bits(m, original)
+        assert same_bits(got.eigenvalues, want.eigenvalues)
+        assert same_bits(got.eigenvectors, want.eigenvectors)
+        assert got.tie_blocks == want.tie_blocks
+
+    def test_peak_memory(self):
+        n = 300
+        m = two_cluster_graph(n).laplacian_matrix()
+        eigendecompose(m, upto=5)  # the LAPACK extension allocates objects of its own
+        # beyond the input: n^2 bytes of a finiteness or symmetry mask, or the
+        # tie bound's row blocks, then dsyevr's workspace; a copy of the
+        # matrix for dsyevr and an n x n |m| made it 1.15 n^2 doubles
+        assert traced(lambda: eigendecompose(m, upto=5))[1] <= 0.25 * 8 * n * n
 
 
 class TestLapackCalls:

@@ -23,7 +23,7 @@ from simplexsp import (
     select_model,
     two_simplex_closed_form,
 )
-from simplexsp.structure_learning import _triple_weights
+from simplexsp.structure_learning import _quantiles, _triple_weights
 
 from simplexsp.tasks import two_cluster_graph
 
@@ -120,6 +120,19 @@ class TestFiltrationBands:
               {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 2.0, (1, 3): 0.5}, 6))
     def test_matches_loop_reference(self, case):
         assert filtration_bands(*case) == filtration_bands_loop(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]) | LENGTHS | st.floats(1e-300, 1e300),
+                    min_size=1, max_size=60),
+           st.integers(1, 12))
+    @example([2.0], 5)
+    @example([1.0, 1.0, 1.0], 12)
+    def test_quantiles_match_numpy(self, sizes, num_bands):
+        # int64 views tell apart any two bit patterns
+        sizes = np.array(sizes)
+        q = [i / num_bands for i in range(1, num_bands + 1)]
+        assert np.array_equal(_quantiles(sizes, q).view(np.int64),
+                              np.quantile(sizes, q).view(np.int64))
 
 
 class TestOrderWithinBand:
