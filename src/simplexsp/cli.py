@@ -8,80 +8,106 @@ and timing.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from functools import partial
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# fit-filter's t grid: a point costs one fit per level pair (41 us on 3 vertices), so a
+# million points, 1e-6 apart, take 41 s a pair; larger grids are refused before allocation
+T_GRID_MAX = 10**6
+# levels: each replays every earlier batch and learn writes each as an n x n CSV, so the
+# cost grows as p^2; on six vertices p = 1,000 took 2.5 s (1,003 files), p = 2,000 6.0 s
+P_MAX = 1000
+# bands: each costs a seeded shuffle and a manifest entry even when empty, as every band past
+# the triangle count is; on six vertices 10^5 bands took 2.4 s, 10^6 24 s and 511 MB
+BANDS_MAX = 10**4
+
+
+def _number(kind=float, lo=-math.inf, hi=math.inf):
+    """Converter of a flag or config value to a finite ``kind`` within [lo, hi]; a
+    boolean, or a fractional float for an int, is refused, not truncated.  The
+    refusal's message starts with the value, which ``main`` puts after the flag."""
+
+    def convert(raw):
+        try:
+            value = kind(raw)
+            ok = lo <= value <= hi and math.isfinite(value)  # isfinite overflows on a huge int
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok or isinstance(raw, bool) or isinstance(raw, float) and value != raw:
+            need = f"need a finite {kind.__name__} in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"{raw}: {need}")
+        return value
+
+    return convert
+
+
+# each range a flag shares with a config key, written once
+SEED = _number(int, 0)
+LEVELS = _number(int, 1, P_MAX)
+BANDS = _number(int, 1, BANDS_MAX)
+FRACTION = _number(float, math.nextafter(0, 1), 1)  # (0, 1]
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simplexsp",
-        description="Signal processing on weighted simplicial complexes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a bad flag value reaches main as an ArgumentError rather than exiting
+    new_parser = partial(argparse.ArgumentParser, exit_on_error=False)
+    parser = new_parser(prog="simplexsp",
+                        description="Signal processing on weighted simplicial complexes")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
-    def add_invert(p):
-        p.add_argument(
-            "--invert-similarity",
-            action="store_true",
-            help="treat input weights as similarities; use 1/w as the length",
-        )
+    def command(name, help, *required, invert=False):
+        p = sub.add_parser(name, help=help)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        if invert:
+            p.add_argument("--invert-similarity", action="store_true",
+                           help="treat input weights as similarities; use 1/w as the length")
+        return p
 
-    p = sub.add_parser("laplacian", help="generalized Laplacian of a complex")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--out", required=True)
-    add_invert(p)
+    command("laplacian", "generalized Laplacian of a complex", "--complex", "--out", invert=True)
+    command("spectrum", "eigendecomposition of a Laplacian", "--laplacian", "--out")
 
-    p = sub.add_parser("spectrum", help="eigendecomposition of a Laplacian")
-    p.add_argument("--laplacian", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("filter", help="bandpass or polynomial filtering of signals")
-    p.add_argument("--laplacian", required=True)
-    p.add_argument("--signals", required=True)
-    p.add_argument("--out", required=True)
+    p = command("filter", "bandpass or polynomial filtering of signals",
+                "--laplacian", "--signals", "--out")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--band", help="1-based index range lo:hi")
     group.add_argument("--poly", help="comma-separated coefficients a1,a2,...")
 
-    p = sub.add_parser("learn", help="learn the nested Laplacian family")
-    p.add_argument("--graph", required=True)
+    p = command("learn", "learn the nested Laplacian family", "--graph", "--out", invert=True)
     p.add_argument("--signals")
-    p.add_argument("--p", type=int, default=20)
-    p.add_argument("--bands", type=int, default=1)
-    p.add_argument("--r1", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=LEVELS, default=20)
+    p.add_argument("--bands", type=BANDS, default=1)
+    p.add_argument("--r1", type=FRACTION, default=0.3)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--mode", choices=["closed", "all"], default="closed")
-    p.add_argument("--out", required=True)
-    add_invert(p)
 
     for name in ("compress", "detect", "denoise"):
-        p = sub.add_parser(name, help=f"{name} experiment from a JSON config")
-        p.add_argument("--config", required=True)
+        command(name, f"{name} experiment from a JSON config", "--config")
+    command("diagnose", "structural/spectral diagnostics report", "--complex", "--out", invert=True)
 
-    p = sub.add_parser("diagnose", help="structural/spectral diagnostics report")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--out", required=True)
-    add_invert(p)
-
-    p = sub.add_parser("fit-filter", help="continuous filter fit over the family")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--signals", required=True)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--p", type=int, default=5)
-    p.add_argument("--bands", type=int, default=1)
-    p.add_argument("--t-grid", type=int, default=21)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    add_invert(p)
+    p = command("fit-filter", "continuous filter fit over the family",
+                "--graph", "--signals", "--out", invert=True)
+    p.add_argument("--degree", type=_number(int, 1), default=2)
+    p.add_argument("--p", type=LEVELS, default=5)
+    p.add_argument("--bands", type=BANDS, default=1)
+    p.add_argument("--t-grid", type=_number(int, 2, T_GRID_MAX), default=21)
+    p.add_argument("--seed", type=SEED, default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # one line, "<flag> <value>: <reason>" for a bad value, and nothing is read
+        print("simplexsp:", *filter(None, (exc.argument_name, exc.message)), file=sys.stderr)
+        return EXIT_VALIDATION
     # the command's modules, numpy among them, load only after argv parses
     from . import commands
 

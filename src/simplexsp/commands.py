@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 import time
+from argparse import ArgumentTypeError
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION
+from .cli import BANDS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, FRACTION, LEVELS, SEED, _number
 from .complex_core import ComplexError
 from .io import (
     ParseError,
@@ -41,9 +41,6 @@ from .spectral import (
 )
 
 LABEL_MAX = 2**31 - 1  # class labels; the bound keeps their int casts and squares finite
-# fit-filter's t grid: a point costs one fit per level pair (41 us on 3 vertices), so a
-# million points, 1e-6 apart, take 41 s a pair; larger grids are refused before allocation
-T_GRID_MAX = 10**6
 
 
 def _write_manifest(command: str, config: dict, inputs: list, outputs: list, seed, t0: float):
@@ -74,29 +71,15 @@ def _write_table(path: Path, header: list, rows) -> Path:
     return path
 
 
-def _number(kind=float, lo=-math.inf, hi=math.inf):
-    """Converter of a config value to a finite ``kind`` within [lo, hi]; a
-    boolean, or a fractional float for an int, is refused, not truncated."""
-
-    def convert(raw):
-        value = kind(raw)
-        fractional = isinstance(raw, float) and value != raw
-        if isinstance(raw, bool) or fractional or not (math.isfinite(value) and lo <= value <= hi):
-            raise ValueError(f"need a finite {kind.__name__} in [{lo}, {hi}], got {raw!r}")
-        return value
-
-    return convert
-
-
 def _many(convert):
     """Converter of a config list whose converted values must not repeat."""
 
     def convert_all(raw) -> list:
         if not isinstance(raw, list):
-            raise ValueError(f"need a list, got {raw!r}")
+            raise ArgumentTypeError(f"{raw}: need a list")
         values = [convert(v) for v in raw]
         if len(set(values)) < len(values):
-            raise ValueError(f"need distinct values, got {raw!r}")
+            raise ArgumentTypeError(f"{raw}: need distinct values")
         return values
 
     return convert_all
@@ -104,22 +87,24 @@ def _many(convert):
 
 def _text(raw) -> str:
     if not isinstance(raw, str):
-        raise ValueError(f"need a string, got {raw!r}")
+        raise ArgumentTypeError(f"{raw}: need a string")
     return raw
 
 
 def _flag(raw) -> bool:
     if not isinstance(raw, bool):
-        raise ValueError(f"need true or false, got {raw!r}")
+        raise ArgumentTypeError(f"{raw}: need true or false")
     return raw
 
 
-# keys every experiment config may set: key -> (default, converter)
+# keys every experiment config may set: key -> (default, converter); seed, p and
+# bands convert as the flags of learn and fit-filter do
 _SHARED_KEYS = {
     "graph": (None, _text),
     "invert_similarity": (False, _flag),
-    "seed": (0, _number(int, 0)),
-    "bands": (1, _number(int)),
+    "seed": (0, SEED),
+    "p": (20, LEVELS),
+    "bands": (1, BANDS),
     "out_dir": (".", _text),
 }
 
@@ -144,7 +129,7 @@ def _experiment(args, **keys):
     for key, (default, convert) in {**_SHARED_KEYS, **keys}.items():
         try:
             values[key] = convert(cfg[key]) if key in cfg else default
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ArgumentTypeError as exc:
             raise ParseError(f"{args.config}: config key {key!r}: {exc}") from exc
     from . import structure_learning, tasks
 
@@ -200,7 +185,7 @@ def _parse_band(text: str, n: int) -> tuple:
 def _parse_poly(text: str) -> tuple:
     try:
         return tuple(_number()(a) for a in text.split(","))
-    except ValueError as exc:
+    except ArgumentTypeError as exc:
         raise ParseError(f"--poly {text!r}: {exc}") from exc
 
 
@@ -219,19 +204,9 @@ def cmd_filter(args):
     return {"band": args.band, "poly": args.poly}, [args.laplacian, args.signals], [args.out], None
 
 
-def _check_flag(flag: str, value, convert) -> None:
-    try:
-        convert(value)
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"{flag} {value}: {exc}") from exc
-
-
 def cmd_learn(args):
     from .structure_learning import build_family, family_manifest, select_model
 
-    if not 0 < args.r1 <= 1:
-        raise ParseError(f"--r1 {args.r1!r}: the low-band fraction must lie in (0, 1]")
-    _check_flag("--seed", args.seed, _number(int, 0))
     g = load_graph(args.graph, args.invert_similarity)
     inputs = [args.graph]
     if args.signals:
@@ -260,11 +235,10 @@ def cmd_compress(args):
 
     cfg, c, g, family, out_dir = _experiment(
         args,
-        p=(20, _number(int)),
         trials=(10, _number(int, 1)),
         count=(20, _number(int)),
-        r1=(0.3, _number(float, 0, 1)),
-        r2=(None, _number(float, 0, 1)),
+        r1=(0.3, FRACTION),
+        r2=(None, FRACTION),
         planted_fraction=(0.5, _number()),
         signals=(None, _text),
     )
@@ -295,7 +269,6 @@ def cmd_detect(args):
 
     cfg, c, g, family, out_dir = _experiment(
         args,
-        p=(20, _number(int)),
         trials=(100, _number(int, 1)),
         r=(0.8, _number(float, 0, 1)),
         epsilon=(0.05, _number()),
@@ -321,7 +294,7 @@ def cmd_denoise(args):
     cfg, c, g, family, out_dir = _experiment(
         args,
         n=(100, _number(int)),
-        p=(10, _number(int)),
+        p=(10, LEVELS),
         trials=(50, _number(int, 1)),
         labels=(None, _text),
         num_classes=(None, _number(int, 1)),
@@ -363,9 +336,6 @@ def cmd_diagnose(args):
 def cmd_fit_filter(args):
     from .structure_learning import build_family
 
-    _check_flag("--degree", args.degree, _number(int, 1))
-    _check_flag("--t-grid", args.t_grid, _number(int, 2, T_GRID_MAX))
-    _check_flag("--seed", args.seed, _number(int, 0))
     g = load_graph(args.graph, args.invert_similarity)
     # L x, ..., L^b x span at most n dimensions, and the fit's Gram matrix
     # has b^2 entries

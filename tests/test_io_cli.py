@@ -1,6 +1,10 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import string
 import subprocess
 import sys
 import tempfile
@@ -15,9 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 import simplexsp
 from simplexsp import SimplicialComplex, complex_laplacian, from_edge_list
-from simplexsp import commands
-from simplexsp.cli import main
-from simplexsp.commands import T_GRID_MAX
+from simplexsp import cli, commands, structure_learning
+from simplexsp.cli import BANDS_MAX, P_MAX, T_GRID_MAX, build_parser, main
 from simplexsp.spectral import FilterFit
 from simplexsp.io import (
     ParseError,
@@ -591,6 +594,7 @@ class TestCli:
 
 # two triangles sharing the edge 2-3, and a path 4-5-6 hanging off vertex 4
 SIX_VERTEX_EDGES = "1,2,1.0\n1,3,1.0\n2,3,1.0\n2,4,1.0\n3,4,1.0\n4,5,1.0\n5,6,1.0\n"
+MISSING_GRAPH = "no-such-dir/missing.csv"  # a graph path that does not exist
 
 
 def run_config(tmp_path, command, cfg):
@@ -769,11 +773,22 @@ class TestExperimentConfigs:
             ("compress", {"invert_similarity": "false"}, "invert_similarity"),
             ("denoise", {"snr_db": [1.0, 1]}, "snr_db"),
             ("denoise", {"num_classes": 0}, "num_classes"),
+            # a range shared with a flag is checked before the (missing) graph is read
+            ("compress", {"p": 0, "graph": MISSING_GRAPH}, "p"),
+            ("compress", {"bands": 0, "graph": MISSING_GRAPH}, "bands"),
+            ("compress", {"r1": 0, "graph": MISSING_GRAPH}, "r1"),
+            ("compress", {"r2": 0, "graph": MISSING_GRAPH}, "r2"),
+            ("compress", {"p": P_MAX + 1, "graph": MISSING_GRAPH}, "p"),
+            ("compress", {"p": 10**100, "graph": MISSING_GRAPH}, "p"),
+            ("compress", {"bands": BANDS_MAX + 1, "graph": MISSING_GRAPH}, "bands"),
+            ("compress", {"bands": 10**100, "graph": MISSING_GRAPH}, "bands"),
         ],
         ids=["detect-zero-trials", "denoise-zero-trials", "compress-p-not-integer",
              "detect-magnitude-not-numeric", "config-not-an-object", "p-fractional",
              "trials-fractional", "p-boolean", "invert-similarity-string", "snr-repeated",
-             "num-classes-zero"],
+             "num-classes-zero", "compress-p-zero", "compress-bands-zero", "compress-r1-zero",
+             "compress-r2-zero", "compress-p-above-bound", "compress-p-huge",
+             "compress-bands-above-bound", "compress-bands-huge"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg, key):
         rc = run_config(tmp_path, command, cfg)
@@ -804,6 +819,135 @@ class TestExperimentConfigs:
         }
         rows = (tmp_path / "out" / "detection.csv").read_text().splitlines()
         assert [row.rsplit(",", 1)[0] for row in rows[1:]] == ["10.0,S1", "10.0,S4"]
+
+
+# every numeric flag of learn and fit-filter: (command, flag, kind, lo, hi); --r1's
+# lower end 0 is excluded, and None is no upper bound
+NUMERIC_FLAGS = [
+    ("learn", "--p", int, 1, P_MAX), ("learn", "--bands", int, 1, BANDS_MAX),
+    ("learn", "--r1", float, 0, 1), ("learn", "--seed", int, 0, None),
+    ("fit-filter", "--degree", int, 1, None), ("fit-filter", "--p", int, 1, P_MAX),
+    ("fit-filter", "--bands", int, 1, BANDS_MAX), ("fit-filter", "--t-grid", int, 2, T_GRID_MAX),
+    ("fit-filter", "--seed", int, 0, None),
+]
+BOUNDED_FLAGS = [(c, f, lo, hi) for c, f, kind, lo, hi in NUMERIC_FLAGS if kind is int and hi]
+
+
+def flag_converter(command, flag):
+    """The argparse ``type`` that converts a subcommand's flag."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return sub.choices[command]._option_string_actions[flag].type
+
+
+def bad_flag_values(kind, lo, hi):
+    """Values a flag must refuse: out of range, fractional, non-finite,
+    non-numeric or 400 digits long."""
+    if kind is float:
+        out_of_range = (st.floats(max_value=lo, allow_nan=False)
+                        | st.floats(min_value=hi, exclude_min=True, allow_nan=False)).map(repr)
+    else:
+        out_of_range = st.integers(max_value=lo - 1).map(str)
+        if hi is not None:
+            out_of_range |= st.integers(min_value=hi + 1).map(str)
+        out_of_range |= st.floats(allow_nan=False, allow_infinity=False).filter(
+            lambda x: x != int(x)).map(repr)
+    return st.one_of(
+        out_of_range,
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "NaN"]),
+        st.text(alphabet=string.ascii_letters, min_size=1, max_size=8),
+        st.tuples(st.sampled_from(["", "-"]), st.integers(10**399, 10**400 - 1)).map(
+            lambda t: t[0] + str(t[1])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NUMERIC_FLAGS).flatmap(
+    lambda f: st.tuples(st.just(f[:2]), bad_flag_values(*f[2:]))))
+def test_bad_numeric_flag_exit_2(case):
+    """A refused value is one line naming its flag and value, and nothing is written."""
+    (command, flag), value = case
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        tmp = Path(tmp)
+        graph, sig, out = tmp / "g.csv", tmp / "sig.csv", tmp / "out"
+        graph.write_text(SIX_VERTEX_EDGES)
+        save_signals(np.ones((6, 2)), sig)
+        rc = main([command, "--graph", str(graph), "--signals", str(sig), f"{flag}={value}",
+                   "--out", str(out)])
+        assert rc == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"simplexsp: {flag} {value}: ")
+        assert sorted(f.name for f in tmp.iterdir()) == ["g.csv", "sig.csv"]
+
+
+@pytest.mark.parametrize("command, flag, lo, hi", BOUNDED_FLAGS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_bounded_flag_converter(command, flag, lo, hi, data):
+    # values as large as an allocation or a loop that never ends are refused
+    # without being used; every value in range converts to itself
+    convert = flag_converter(command, flag)
+    big = data.draw(st.integers(hi + 1, 10**15) | st.sampled_from([10**11, 10**12, 10**100]))
+    for raw in (big, str(big)):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"^{raw}: "):
+            convert(raw)
+    ok = data.draw(st.integers(lo, hi))
+    assert convert(str(ok)) == convert(ok) == ok
+
+
+def test_config_keys_share_the_flag_converters():
+    # each range a flag shares with a config key is written once
+    shared = {"--p": "p", "--bands": "bands", "--seed": "seed"}
+    for command in ("learn", "fit-filter"):
+        for flag, key in shared.items():
+            assert flag_converter(command, flag) is commands._SHARED_KEYS[key][1]
+    assert flag_converter("learn", "--r1") is cli.FRACTION
+
+
+@pytest.mark.parametrize("command", ["learn", "fit-filter"])
+@pytest.mark.parametrize("flag, value", [("--p", str(P_MAX + 1)), ("--p", str(10**100)),
+                                         ("--bands", str(BANDS_MAX + 1)),
+                                         ("--bands", str(10**100))])
+def test_level_and_band_bounds_refused(tmp_path, capsys, monkeypatch, command, flag, value):
+    built = []
+    monkeypatch.setattr(structure_learning, "build_family", lambda *a, **k: built.append(a))
+    graph, sig, out = tmp_path / "g.csv", tmp_path / "sig.csv", tmp_path / "out"
+    graph.write_text(SIX_VERTEX_EDGES)
+    save_signals(np.ones((6, 2)), sig)
+    assert main([command, "--graph", str(graph), "--signals", str(sig), flag, value,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"simplexsp: {flag} {value}: ")
+    assert built == [] and not out.exists()
+
+
+def stand_in_family(monkeypatch):
+    """Record build_family's p and num_bands and build a one-level family
+    instead, so the largest accepted values cost nothing."""
+    seen, real = [], structure_learning.build_family
+
+    def build(g, p, num_bands, seed, **kw):
+        seen.append((p, num_bands))
+        return real(g, p=1, num_bands=1, seed=seed, **kw)
+
+    monkeypatch.setattr(structure_learning, "build_family", build)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["learn", "fit-filter"])
+def test_level_and_band_bounds_accepted(tmp_path, monkeypatch, rng, command):
+    seen = stand_in_family(monkeypatch)
+    graph, sig, out = tmp_path / "g.csv", tmp_path / "sig.csv", tmp_path / "out"
+    graph.write_text(SIX_VERTEX_EDGES)
+    save_signals(rng.standard_normal((6, 2)), sig)
+    assert main([command, "--graph", str(graph), "--signals", str(sig), "--p", str(P_MAX),
+                 "--bands", str(BANDS_MAX), "--out", str(out)]) == 0
+    assert seen == [(P_MAX, BANDS_MAX)]
+
+
+def test_config_level_and_band_bounds_accepted(tmp_path, monkeypatch):
+    seen = stand_in_family(monkeypatch)
+    assert run_config(tmp_path, "compress", {"p": P_MAX, "bands": BANDS_MAX, "count": 2}) == 0
+    assert seen == [(P_MAX, BANDS_MAX)]
 
 
 # wrong types and non-finite numbers, mixed into each key's plausible values
@@ -938,19 +1082,26 @@ def test_io_loads_no_hashlib():
     assert proc.stdout.strip() == "[]"
 
 
-def test_help_and_usage_error_load_no_numpy():
+def test_help_and_usage_error_load_no_numpy(tmp_path):
+    # a flag's value is checked where the flag is declared: before the graph
+    # is read and before numpy loads
+    bad_r1 = ["learn", "--graph", str(tmp_path / "missing.csv"), "--r1", "0",
+              "--out", str(tmp_path / "o")]
     proc = run_fresh(
         "import sys; from simplexsp.cli import main\n"
-        "for argv in (['--help'], ['denoise']):\n"
+        f"for argv in (['--help'], ['denoise'], {bad_r1!r}):\n"
         "    try:\n"
-        "        main(argv)\n"
+        "        print(main(argv))\n"
         "    except SystemExit as exc:\n"
         "        print(exc.code)\n"
         f"print({LOADED})"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3:] == ["0", "2", "simplexsp simplexsp.cli"]
+    assert proc.stdout.splitlines()[-4:] == ["0", "2", "2", "simplexsp simplexsp.cli"]
     assert "the following arguments are required: --config" in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "--r1" in line] == [
+        "simplexsp: --r1 0: need a finite float in [5e-324, 1]"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scipy_commands_run_from_fresh_interpreter(tmp_path):
