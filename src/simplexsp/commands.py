@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 from argparse import ArgumentTypeError
@@ -41,6 +42,7 @@ from .spectral import (
 )
 
 LABEL_MAX = 2**31 - 1  # class labels; the bound keeps their int casts and squares finite
+UNIT = _number(float, 0, 1)  # [0, 1]
 
 
 def _write_manifest(command: str, config: dict, inputs: list, outputs: list, seed, t0: float):
@@ -236,10 +238,10 @@ def cmd_compress(args):
     cfg, c, g, family, out_dir = _experiment(
         args,
         trials=(10, _number(int, 1)),
-        count=(20, _number(int)),
+        count=(20, _number(int, 1)),
         r1=(0.3, FRACTION),
         r2=(None, FRACTION),
-        planted_fraction=(0.5, _number()),
+        planted_fraction=(0.5, UNIT),
         signals=(None, _text),
     )
     if c.signals is not None:
@@ -270,12 +272,12 @@ def cmd_detect(args):
     cfg, c, g, family, out_dir = _experiment(
         args,
         trials=(100, _number(int, 1)),
-        r=(0.8, _number(float, 0, 1)),
+        r=(0.8, UNIT),
         epsilon=(0.05, _number()),
         magnitudes=([10.0, 20.0, 30.0, 40.0, 50.0], _many(_number())),
         strategies=(["S1", "S4"], _many(_text)),
         s3_level=(2, _number(int)),
-        planted_fraction=(0.5, _number()),
+        planted_fraction=(0.5, UNIT),
         amplitude=(50.0, _number()),
     )
     truth = eigendecompose(complex_laplacian(planted_complex(g, c.planted_fraction, c.seed)))
@@ -298,9 +300,9 @@ def cmd_denoise(args):
         trials=(50, _number(int, 1)),
         labels=(None, _text),
         num_classes=(None, _number(int, 1)),
-        r=(0.01, _number()),
-        s=(0.9, _number()),
-        noise_fraction=(0.6, _number()),
+        r=(0.01, _number(float, math.nextafter(0, 1), math.nextafter(1, 0))),
+        s=(0.9, UNIT),
+        noise_fraction=(0.6, FRACTION),
         snr_db=([2.0, 1.0, 0.0, -1.0, -2.0], _many(_number())),
     )
     inputs = [] if c.graph is None else [c.graph]

@@ -299,12 +299,13 @@ def enumerate_candidate_triangles(g: WeightedGraph, mode: str = "closed") -> lis
     adj = g.adjacency_sets()
     idx = g.index
     out = []
+    # edges in order, then each edge's later common neighbours in order: the
+    # triples come out sorted
     for (u, v) in sorted(g.edges, key=lambda e: (idx[e[0]], idx[e[1]])):
         common = adj[u] & adj[v]
         for w in sorted(common, key=idx.__getitem__):
             if idx[w] > idx[v]:
                 out.append((u, v, w))
-    out.sort(key=lambda t: tuple(idx[v] for v in t))
     return out
 
 

@@ -20,6 +20,7 @@ from .laplacian import (
     _shape_constants,
     complex_laplacian,
     is_graph_type,
+    matrix_of,
     two_simplex_closed_form,
 )
 from .spectral import _gvd_values, _norm_scale, _q_factor, commutator_norm
@@ -315,7 +316,7 @@ def lemma2_audit(l: GeneralizedLaplacian, components: int) -> dict:
     """Symmetry / PSD / zero-row-sum / kernel-dimension audit of a Laplacian.
 
     Raises :class:`NumericalError` when the Frobenius norm is not finite."""
-    m = l.matrix if isinstance(l, GeneralizedLaplacian) else np.asarray(l, dtype=float)
+    m = matrix_of(l)
     scale = _norm_scale(m)
     sym_resid = float(np.linalg.norm(m - m.T))
     vals = np.linalg.eigvalsh((m + m.T) / 2.0)

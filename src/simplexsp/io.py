@@ -76,33 +76,38 @@ def load_complex(path, invert_similarity: bool = False) -> SimplicialComplex:
     return _load_edge_csv(path, invert_similarity)
 
 
+def _rows(path: Path):
+    """(line number, cells) of each CSV row of a file that has a non-blank cell."""
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if any(cell.strip() for cell in row):
+                yield lineno, row
+
+
 def _load_edge_csv(path: Path, invert_similarity: bool) -> SimplicialComplex:
     edges = {}
     vertices: dict = {}
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if lineno == 1 and not _looks_numericish(row):
-                continue  # header
-            if len(row) not in (2, 3):
-                raise ParseError(f"{path}:{lineno}: expected 'u,v[,w]', got {row}")
-            u, v = _coerce_vertex(row[0]), _coerce_vertex(row[1])
-            try:
-                w = float(row[2]) if len(row) == 3 else 1.0
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad weight {row[2]!r}") from exc
-            w = _maybe_invert(w, invert_similarity, f"{path}:{lineno}")
-            if w <= 0:
-                raise ParseError(f"{path}:{lineno}: non-positive weight {w}")
-            if u == v:
-                raise ParseError(f"{path}:{lineno}: self-loop at {u!r}")
-            vertices.setdefault(u)
-            vertices.setdefault(v)
-            key = frozenset((u, v))
-            if key in edges and edges[key] != w:
-                raise ParseError(f"{path}:{lineno}: conflicting duplicate edge {u!r},{v!r}")
-            edges[key] = w
+    for lineno, row in _rows(path):
+        if lineno == 1 and not _looks_numericish(row):
+            continue  # header
+        if len(row) not in (2, 3):
+            raise ParseError(f"{path}:{lineno}: expected 'u,v[,w]', got {row}")
+        u, v = _coerce_vertex(row[0]), _coerce_vertex(row[1])
+        try:
+            w = float(row[2]) if len(row) == 3 else 1.0
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad weight {row[2]!r}") from exc
+        w = _maybe_invert(w, invert_similarity, f"{path}:{lineno}")
+        if w <= 0:
+            raise ParseError(f"{path}:{lineno}: non-positive weight {w}")
+        if u == v:
+            raise ParseError(f"{path}:{lineno}: self-loop at {u!r}")
+        vertices.setdefault(u)
+        vertices.setdefault(v)
+        key = frozenset((u, v))
+        if key in edges and edges[key] != w:
+            raise ParseError(f"{path}:{lineno}: conflicting duplicate edge {u!r},{v!r}")
+        edges[key] = w
     try:
         return SimplicialComplex(list(vertices), {tuple(k): w for k, w in edges.items()})
     except ComplexError as exc:
@@ -144,26 +149,23 @@ def load_signals(path):
     path = Path(path)
     rows = []
     header = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not any(cell.strip() for cell in row):
+    for lineno, row in _rows(path):
+        try:
+            values = [float(c) for c in row]
+        except ValueError:
+            if lineno == 1:
+                header = [_coerce_vertex(c) for c in row]
                 continue
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                if lineno == 1:
-                    header = [_coerce_vertex(c) for c in row]
-                    continue
-                raise ParseError(f"{path}:{lineno}: non-numeric signal value in {row}")
-            if not np.isfinite(values).all():
-                raise ParseError(f"{path}:{lineno}: non-finite signal value in {row}")
-            rows.append(values)
+            raise ParseError(f"{path}:{lineno}: non-numeric value in {row}")
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}:{lineno}: non-finite value in {row}")
+        rows.append(values)
     if not rows:
-        raise ParseError(f"{path}: no signal rows")
+        raise ParseError(f"{path}: no data rows")
     width = len(rows[0])
     for k, r in enumerate(rows):
         if len(r) != width:
-            raise ParseError(f"{path}: ragged signal matrix at data row {k + 1}")
+            raise ParseError(f"{path}: ragged rows at data row {k + 1}")
     return header, np.array(rows)
 
 
@@ -180,25 +182,9 @@ def save_signals(signals: np.ndarray, path, vertex_ids=None) -> None:
 
 
 def load_points(path) -> np.ndarray:
-    """Point-cloud CSV: one row per point, numeric columns."""
-    path = Path(path)
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise ParseError(f"{path}:{lineno}: non-numeric coordinate in {row}")
-    if not rows:
-        raise ParseError(f"{path}: no points")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ParseError(f"{path}: ragged point rows")
-    return np.array(rows)
+    """Point-cloud CSV: one row per point, finite numeric columns, and an
+    optional header row."""
+    return load_signals(path)[1]
 
 
 def load_matrix(path) -> np.ndarray:

@@ -22,8 +22,6 @@ from .complex_core import ComplexError, SimplicialComplex, maximal_simplices
 
 __all__ = list(_SOURCES["laplacian"])
 
-BARYCENTER = "__barycenter__"
-
 
 @dataclass(frozen=True)
 class StarExpansion:
@@ -65,6 +63,11 @@ class GeneralizedLaplacian:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+
+def matrix_of(l) -> np.ndarray:
+    """The matrix of a GeneralizedLaplacian, or an array of floats."""
+    return l.matrix if isinstance(l, GeneralizedLaplacian) else np.asarray(l, dtype=float)
 
 
 def _check_positive(*weights: float) -> None:
@@ -204,24 +207,19 @@ def complex_laplacian(x: SimplicialComplex) -> GeneralizedLaplacian:
     Bare maximal edges contribute w [[1,-1],[-1,1]]; a complex without
     simplices of dimension >= 2 yields the standard graph Laplacian exactly.
     """
-    n = x.n
-    idx = x.index
-    if not any(len(s) >= 3 for s in x.simplices):
+    blocks = tuple(s for s in maximal_simplices(x) if len(s) >= 2)
+    if not x.simplices:  # every stored simplex has at least 3 vertices
         # bit-exact graph recovery: no blocks to sum, reuse the 1-skeleton
-        return GeneralizedLaplacian(
-            x.graph().laplacian_matrix(),
-            x.vertices,
-            tuple(s for s in maximal_simplices(x) if len(s) >= 2),
-        )
-    blocks = [s for s in maximal_simplices(x) if len(s) >= 2]
+        return GeneralizedLaplacian(x.graph().laplacian_matrix(), x.vertices, blocks)
+    idx = x.index
     # maximal simplices and edge keys both list vertices in vertex order
     rows, cols, values = block_entries(
         [[idx[v] for v in s] for s in blocks],
         [[x.edges[e] for e in itertools.combinations(s, 2)] for s in blocks],
     )
-    lap = np.zeros((n, n))
+    lap = np.zeros((x.n, x.n))
     np.add.at(lap, (rows, cols), values)
-    return GeneralizedLaplacian(lap, x.vertices, tuple(blocks))
+    return GeneralizedLaplacian(lap, x.vertices, blocks)
 
 
 def _shape_constants(w12, w13, w23):
@@ -243,7 +241,7 @@ def shape_constant(w12: float, w13: float, w23: float) -> float:
 def is_graph_type(l: GeneralizedLaplacian | np.ndarray, tol: float = 0.0) -> bool:
     """True iff diagonal entries are finite and >= -tol and off-diagonal
     entries <= tol."""
-    m = l.matrix if isinstance(l, GeneralizedLaplacian) else np.asarray(l, dtype=float)
+    m = matrix_of(l)
     if tol < 0:
         raise ComplexError(f"tolerance must be non-negative, got {tol}")
     diag = np.diag(m)

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _SOURCES
-from .laplacian import GeneralizedLaplacian
+from .laplacian import GeneralizedLaplacian, matrix_of
 
 __all__ = list(_SOURCES["spectral"])
 
@@ -37,7 +37,7 @@ class NumericalError(RuntimeError):
 
 
 def _as_matrix(l) -> np.ndarray:
-    m = l.matrix if isinstance(l, GeneralizedLaplacian) else np.asarray(l, dtype=float)
+    m = matrix_of(l)
     if not np.isfinite(m).all():
         raise NumericalError("matrix has non-finite entries")
     return m
@@ -173,28 +173,28 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
     a gap at or below the low bound is a tie and one above the high bound
     is not; only a gap between them needs the top eigenvalue solved for.
 
-    ``sym`` must be bitwise symmetric.  A writeable C-ordered ``sym`` is
-    solved in its own memory: dsyevr overwrites its upper triangle and
-    diagonal, and every call restores them, from the strict lower triangle
-    and a saved diagonal, before anything else reads ``sym``.  Any other
-    input is copied by each call.
+    ``sym`` must be bitwise symmetric.  It is solved in its own memory,
+    after one copy if it is not writeable and C-ordered: dsyevr overwrites
+    its upper triangle and diagonal, and every call restores them, from the
+    strict lower triangle and a saved diagonal, before anything else reads
+    ``sym``.
     """
+    if not (sym.flags.writeable and sym.flags.c_contiguous):
+        sym = np.array(sym, order="C")
     n = sym.shape[0]
     # sym is exactly symmetric, so its transpose holds the same values; the
     # transpose of a C-ordered sym is Fortran-ordered, which dsyevr can use
     # as it is instead of a copy transposed entry by entry
     a = sym.T
-    in_place = sym.flags.writeable and a.flags.f_contiguous
     diag = sym.diagonal().copy()
 
     def evr(first, last, compute_v=True):
         try:
-            return _evr(a, first, last, compute_v=compute_v, overwrite_a=in_place)
+            return _evr(a, first, last, compute_v=compute_v, overwrite_a=True)
         finally:
-            if in_place:
-                for i in range(n - 1):
-                    sym[i, i + 1:] = sym[i + 1:, i]
-                np.fill_diagonal(sym, diag)
+            for i in range(n - 1):
+                sym[i, i + 1:] = sym[i + 1:, i]
+            np.fill_diagonal(sym, diag)
 
     def solve(w):
         try:
@@ -225,10 +225,11 @@ def eigendecompose(l, upto: int | None = None) -> Spectrum:
     With ``upto=k`` below the order the spectrum is partial: it holds the k
     lowest pairs, and tie blocks are clipped to them.  Below
     PARTIAL_MAX_FRACTION of the order only those pairs are computed, by
-    LAPACK's MRRR routine (dsyevr), in the memory of a writeable C-ordered
-    matrix, which is restored bit for bit before the call returns; no other
-    thread may read it meanwhile.  The matrix must be symmetric within
-    1e-8 of max(1, its Frobenius norm).
+    LAPACK's MRRR routine (dsyevr), in the matrix's own memory, which is
+    restored bit for bit before the call returns; no other thread may read
+    it meanwhile.  A read-only matrix, or one not C-ordered, is copied once
+    for this.  The matrix must be symmetric within 1e-8 of max(1, its
+    Frobenius norm).
     """
     m = _as_matrix(l)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

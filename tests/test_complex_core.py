@@ -202,6 +202,17 @@ class TestEnumerateTriangles:
             ]
             assert enumerate_candidate_triangles(g, "closed") == brute
 
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs())
+    def test_exhaustive_oracle_any_vertices(self, g):
+        # ints, floats and strings: an unsortable mix keeps first-appearance order
+        brute = [
+            t
+            for t in itertools.combinations(g.vertices, 3)
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(t, 2))
+        ]
+        assert enumerate_candidate_triangles(g, "closed") == brute
+
 
 class TestMaximalSimplices:
     def test_single_triangle(self):

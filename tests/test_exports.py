@@ -1,5 +1,9 @@
+import ast
 import importlib
 import pkgutil
+import tokenize
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +59,42 @@ def test_module_all_is_its_package_entry(module):
 def test_result_types_are_exported(name):
     # the types that distinctive_check, fit_continuous_filter and sandwich_bounds return
     assert isinstance(getattr(simplexsp, name), type)
+
+
+PACKAGE = Path(simplexsp.__file__).parent
+ROOT = PACKAGE.parent.parent
+
+
+def _definitions(module: Path):
+    """(name, first line, last line) of each module-level function, class and
+    constant of a source file."""
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            yield node.name, first, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id, node.lineno, node.end_lineno
+
+
+def test_every_module_level_name_is_referenced():
+    """A function, class or constant that nothing names outside its own
+    definition, in the package, the tests or the demos, and that the package
+    map does not export, does nothing."""
+    uses = defaultdict(list)  # identifier -> (file, line) of each occurrence
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME:
+                    uses[tok.string].append((path, tok.start[0]))
+    exported = {name for names in simplexsp._SOURCES.values() for name in names}
+    unreferenced = [
+        f"{module.stem}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for name, first, last in _definitions(module)
+        if not (name.startswith("__") and name.endswith("__")) and name not in exported
+        and all(path == module and first <= line <= last for path, line in uses[name])
+    ]
+    assert unreferenced == []

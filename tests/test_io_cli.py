@@ -186,6 +186,18 @@ class TestSignalsAndMatrices:
         p.write_text("x,y\n0.0,0.0\n1.0,2.0\n")
         np.testing.assert_array_equal(load_points(p), [[0.0, 0.0], [1.0, 2.0]])
 
+    def test_points_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("0.0,0.0\n\n , \n1.0,2.0\n\n")
+        np.testing.assert_array_equal(load_points(p), [[0.0, 0.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_points_non_finite_refused(self, tmp_path, value):
+        p = tmp_path / "pts.csv"
+        p.write_text(f"x,y\n0.0,0.0\n\n1.0,{value}\n")
+        with pytest.raises(ParseError, match="pts.csv:4: non-finite value"):
+            load_points(p)
+
 
 def write_triangle_complex(tmp_path):
     p = tmp_path / "complex.json"
@@ -782,19 +794,32 @@ class TestExperimentConfigs:
             ("compress", {"p": 10**100, "graph": MISSING_GRAPH}, "p"),
             ("compress", {"bands": BANDS_MAX + 1, "graph": MISSING_GRAPH}, "bands"),
             ("compress", {"bands": 10**100, "graph": MISSING_GRAPH}, "bands"),
+            # so is a range only a config key has
+            ("denoise", {"r": 0, "graph": MISSING_GRAPH}, "r"),
+            ("denoise", {"r": 1, "graph": MISSING_GRAPH}, "r"),
+            ("denoise", {"s": 1.5, "graph": MISSING_GRAPH}, "s"),
+            ("denoise", {"s": -0.5, "graph": MISSING_GRAPH}, "s"),
+            ("denoise", {"noise_fraction": 0, "graph": MISSING_GRAPH}, "noise_fraction"),
+            ("denoise", {"noise_fraction": 7, "graph": MISSING_GRAPH}, "noise_fraction"),
+            ("compress", {"count": 0, "graph": MISSING_GRAPH}, "count"),
+            ("compress", {"planted_fraction": 3, "graph": MISSING_GRAPH}, "planted_fraction"),
+            ("detect", {"planted_fraction": -0.5, "graph": MISSING_GRAPH}, "planted_fraction"),
         ],
         ids=["detect-zero-trials", "denoise-zero-trials", "compress-p-not-integer",
              "detect-magnitude-not-numeric", "config-not-an-object", "p-fractional",
              "trials-fractional", "p-boolean", "invert-similarity-string", "snr-repeated",
              "num-classes-zero", "compress-p-zero", "compress-bands-zero", "compress-r1-zero",
              "compress-r2-zero", "compress-p-above-bound", "compress-p-huge",
-             "compress-bands-above-bound", "compress-bands-huge"],
+             "compress-bands-above-bound", "compress-bands-huge", "denoise-r-zero",
+             "denoise-r-one", "denoise-s-above-one", "denoise-s-negative",
+             "denoise-noise-fraction-zero", "denoise-noise-fraction-seven", "compress-count-zero",
+             "compress-planted-fraction-three", "detect-planted-fraction-negative"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg, key):
         rc = run_config(tmp_path, command, cfg)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("simplexsp: ")
+        assert err.startswith("simplexsp: ") and err.count("\n") == 1
         if key is not None:
             assert f"config key {key!r}" in err
 

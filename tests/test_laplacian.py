@@ -226,6 +226,18 @@ class TestComplexLaplacian:
         assert got.matrix.tobytes() == want.matrix.tobytes()
         assert got.provenance == want.provenance
 
+    @pytest.mark.parametrize("simplices, provenance", [
+        ([], ((0, 1), (0, 2), (1, 2), (2, 3))),
+        ([(0, 1, 2)], ((0, 1, 2), (2, 3))),
+    ], ids=["plain-graph", "2-complex"])
+    def test_provenance_lists_maximal_blocks(self, simplices, provenance):
+        # a triangle with a pendant edge and an isolated vertex, which adds no block
+        edges = {(0, 1): 3.0, (0, 2): 4.0, (1, 2): 5.0, (2, 3): 1.5}
+        x = SimplicialComplex(range(5), edges, simplices)
+        got, want = complex_laplacian(x), complex_laplacian_reference(x)
+        assert got.provenance == want.provenance == provenance
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+
     def test_matches_reference_bitwise_metric_complexes(self, rng):
         # up to 30 vertices: rows repeat often across the blocks
         for _ in range(60):

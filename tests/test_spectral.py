@@ -423,7 +423,8 @@ def same_bits(a, b) -> bool:
 
 class TestInPlaceSolve:
     """The partial solve runs dsyevr in the memory of a writeable C-ordered
-    matrix and restores it; the spectrum is that of the copying solver."""
+    matrix, or of one C-ordered copy of any other, and restores it; the
+    spectrum is that of the copying solver."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(nearly_symmetric(), WIDE_LAPLACIANS),
@@ -446,41 +447,61 @@ class TestInPlaceSolve:
             assert got.tie_blocks == want.tie_blocks
             assert same_bits(whole, before)
 
-    @solve_partially()
-    @pytest.mark.parametrize("case, upto, calls", [
+    SOLVES = pytest.mark.parametrize("case, upto, calls", [
         # MRRR fails on [0, 3]; the full solve falls back
         ("k5-in-seven", 3, [("evr", [0, 3]), ("eigh", None)]),
         # K5's cut at 2 lies inside its tie block: a wider re-solve
         ("k5", 2, [("evr", [0, 2]), ("evr", [0, 4])]),
         ("undecided-gap", 1, [("evr", [0, 1]), ("evr", [5, 5])]),
     ])
-    def test_every_solve_reads_the_restored_matrix(self, monkeypatch, case, upto, calls):
+
+    @staticmethod
+    def check_solves(monkeypatch, case, upto, calls, layout):
         m = {"k5-in-seven": k5_in_seven,
              "k5": lambda: complex_laplacian(
                  from_edge_list(itertools.combinations(range(5), 2))).matrix.copy(),
              "undecided-gap": undecided_gap_matrix}[case]()
         original = m.copy()
-        want = eigendecompose_copying(m, upto)
-        seen = []
+        x, whole = laid_out(m, layout, 0)
+        before = whole.copy()
+        want = eigendecompose_copying(x, upto)
+        seen, solved = [], []  # solved: the matrix each call reads
         real_evr, real_eigh = spectral._evr, np.linalg.eigh
 
         def evr(a, lo, hi, **kwargs):
-            assert kwargs["overwrite_a"] and a.base is m
+            # dsyevr gets a Fortran-ordered operand it may overwrite
+            assert kwargs["overwrite_a"] and a.flags.f_contiguous
+            solved.append(a.base)
             seen.append(("evr", [lo, hi], same_bits(a.T, original)))
             return real_evr(a, lo, hi, **kwargs)
 
         def eigh(a):
-            seen.append(("eigh", None, a is m and same_bits(a, original)))
+            solved.append(a)
+            seen.append(("eigh", None, same_bits(a, original)))
             return real_eigh(a)
 
         monkeypatch.setattr(spectral, "_evr", evr)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        got = eigendecompose(m, upto)
+        got = eigendecompose(x, upto)
         assert [c[:2] for c in seen] == calls and all(c[2] for c in seen)
-        assert same_bits(m, original)
+        assert all(a is solved[0] for a in solved)
+        assert (solved[0] is x) == (layout == "C")
+        assert same_bits(whole, before)
         assert same_bits(got.eigenvalues, want.eigenvalues)
         assert same_bits(got.eigenvectors, want.eigenvectors)
         assert got.tie_blocks == want.tie_blocks
+
+    @solve_partially()
+    @SOLVES
+    def test_every_solve_reads_the_restored_matrix(self, monkeypatch, case, upto, calls):
+        # a writeable C-ordered matrix is solved in its own memory
+        self.check_solves(monkeypatch, case, upto, calls, "C")
+
+    @solve_partially()
+    @pytest.mark.parametrize("layout", ["F", "read-only", "strided"])
+    @SOLVES
+    def test_any_other_layout_is_solved_in_one_copy(self, monkeypatch, case, upto, calls, layout):
+        self.check_solves(monkeypatch, case, upto, calls, layout)
 
     def test_peak_memory(self):
         n = 300
