@@ -36,8 +36,9 @@ print(f"Family: {family.p + 1} levels,",
       manifest['levels'][-1]['num_triangles'], "candidate triangles in total")
 
 print("\nMedian eigenvalue per level (tends to drift down as triangles fill in):")
-for i in range(family.p + 1):
-    med = float(np.median(eigendecompose(family.laplacian(i)).eigenvalues))
+# one walk over the levels: each step writes the next batch over the same array
+for i, m in enumerate(family.levels()):
+    med = float(np.median(eigendecompose(m).eigenvalues))
     print(f"  L_X{i:<2d}  {med:.4f}")
 
 # Pretend the world is the fully filled complex, generate smooth signals

@@ -65,7 +65,7 @@ labels = np.array([1.0 if v < 50 else 2.0 for v in range(100)])
 noisy = inject_label_noise(labels, 0.6, 0.0, seed=9)
 errors_noisy = int(np.sum(noisy != labels))
 print(f"  noisy labels wrong at {errors_noisy}/100 vertices")
-for i in range(fam2.p + 1):
-    cleaned = denoise_labels(eigendecompose(fam2.laplacian(i)), noisy, r=0.01, s=0.9, num_classes=2)
+for i, m in enumerate(fam2.levels()):
+    cleaned = denoise_labels(eigendecompose(m), noisy, r=0.01, s=0.9, num_classes=2)
     wrong = int(np.sum(cleaned != labels.astype(int)))
     print(f"  L_X{i}: {wrong}/100 wrong after denoising")

@@ -19,8 +19,8 @@ EXIT_NUMERICAL = 3
 # fit-filter's t grid: a point costs one fit per level pair (41 us on 3 vertices), so a
 # million points, 1e-6 apart, take 41 s a pair; larger grids are refused before allocation
 T_GRID_MAX = 10**6
-# levels: each replays every earlier batch and learn writes each as an n x n CSV, so the
-# cost grows as p^2; on six vertices p = 1,000 took 2.5 s (1,003 files), p = 2,000 6.0 s
+# levels: learn writes each as an n x n CSV and the tasks solve each, so a run grows as p
+# times one level; learn --p 1000 took 0.2 s on six vertices, 1.6 s and 45 MB on 100
 P_MAX = 1000
 # bands: each costs a seeded shuffle and a manifest entry even when empty, as every band past
 # the triangle count is; on six vertices 10^5 bands took 2.4 s, 10^6 24 s and 511 MB

@@ -87,9 +87,9 @@ def _rows(path: Path):
 def _load_edge_csv(path: Path, invert_similarity: bool) -> SimplicialComplex:
     edges = {}
     vertices: dict = {}
-    for lineno, row in _rows(path):
-        if lineno == 1 and not _looks_numericish(row):
-            continue  # header
+    for k, (lineno, row) in enumerate(_rows(path)):
+        if k == 0 and not _looks_numericish(row):
+            continue  # header: the first row that is not blank
         if len(row) not in (2, 3):
             raise ParseError(f"{path}:{lineno}: expected 'u,v[,w]', got {row}")
         u, v = _coerce_vertex(row[0]), _coerce_vertex(row[1])
@@ -149,11 +149,11 @@ def load_signals(path):
     path = Path(path)
     rows = []
     header = None
-    for lineno, row in _rows(path):
+    for k, (lineno, row) in enumerate(_rows(path)):
         try:
             values = [float(c) for c in row]
         except ValueError:
-            if lineno == 1:
+            if k == 0:  # the first row that is not blank
                 header = [_coerce_vertex(c) for c in row]
                 continue
             raise ParseError(f"{path}:{lineno}: non-numeric value in {row}")

@@ -52,15 +52,21 @@ class LaplacianFamily:
         if not 0 <= i <= self.p:
             raise ComplexError(f"level must lie in 0..{self.p}, got {i}")
 
-    def laplacian(self, i: int) -> GeneralizedLaplacian:
-        """The Laplacian of X_i, a fresh matrix on every call; provenance in vertex order."""
-        self._check(i)
+    def levels(self):
+        """L_0, ..., L_p in turn, in one n x n array: ``base``, then each batch's
+        entries written over it.  The next step overwrites the array, so a caller
+        that keeps a level copies it; one that changes the array between steps
+        restores its bits first, as eigendecompose's in-place partial solve does."""
         m = np.zeros((self.graph.n, self.graph.n))
-        for rows, cols, values, *_ in [self.base, *self.updates[:i]]:
+        for rows, cols, values, *_ in [self.base, *self.updates]:
             m[rows, cols] = values
-        idx = self.graph.index
-        triangles = sorted(itertools.chain(*self.batches[:i]), key=lambda t: [idx[v] for v in t])
-        return GeneralizedLaplacian(m, self.graph.vertices, tuple(triangles))
+            yield m
+
+    def laplacian(self, i: int) -> GeneralizedLaplacian:
+        """L_i, from a walk stopped there, so the caller owns it; no provenance."""
+        self._check(i)
+        return GeneralizedLaplacian(next(itertools.islice(self.levels(), i, None)),
+                                    self.graph.vertices)
 
     def complex(self, i: int) -> SimplicialComplex:
         """The complex X_i, built on demand."""
@@ -284,14 +290,11 @@ def select_model(family: LaplacianFamily, signals: np.ndarray, r1: float):
     """argmin over levels of the total squared low-band projection residual.
 
     Keeps the first k = max(1, round(r1 n)) eigenvectors per level; ties go
-    to the smaller level index.  Each level is solved once, and only one
-    level's spectrum is held at a time.
-    """
+    to the smaller level index.  One walk solves each level once and holds
+    one level's spectrum at a time."""
     signals = np.asarray(signals, dtype=float)
-    errors = np.array([
-        np.sum(_low_band_residual(eigendecompose(family.laplacian(i)), signals, r1) ** 2)
-        for i in range(family.p + 1)
-    ])
+    errors = np.array([np.sum(_low_band_residual(eigendecompose(m), signals, r1) ** 2)
+                       for m in family.levels()])
     return _best_level(errors, signals), errors
 
 
@@ -302,11 +305,10 @@ def family_manifest(family: LaplacianFamily) -> dict:
     added = [len(fills) for *_, fills in family.updates]
     edges = itertools.accumulate(added, initial=len(family.graph.edges))
     triangles = itertools.accumulate(map(len, family.batches), initial=0)
-    levels = [
-        {"num_edges": e, "num_triangles": t,
-         "laplacian_sha256": hashlib.sha256(family.laplacian(i).matrix.tobytes()).hexdigest()}
-        for i, e, t in zip(range(family.p + 1), edges, triangles)
-    ]
+    # hashlib reads the C-ordered array's buffer: the digest of its bytes, uncopied
+    levels = [{"num_edges": e, "num_triangles": t,
+               "laplacian_sha256": hashlib.sha256(m).hexdigest()}
+              for m, e, t in zip(family.levels(), edges, triangles)]
     return {
         "n": family.graph.n,
         "p": family.p,

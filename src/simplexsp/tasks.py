@@ -71,8 +71,8 @@ def compression_trials(
     # [level, trial]: select_model's residual at r1 and the compression error at r2
     residual = np.empty((family.p + 1, len(draws)))
     error = np.empty_like(residual)
-    for i in range(family.p + 1):
-        spectrum = eigendecompose(family.laplacian(i))
+    for i, m in enumerate(family.levels()):
+        spectrum = eigendecompose(m)
         for trial, (s1, s2) in enumerate(draws):
             residual[i, trial] = np.sum(_low_band_residual(spectrum, s1, r1) ** 2)
             error[i, trial] = compression_error(spectrum, s2, r2)
@@ -135,7 +135,7 @@ def _single_verdict(spectrum, baselines, tests, r, epsilon, strategy="S1", level
 
 
 def _strategy_levels(strategy: str, p: int, level: int | None) -> tuple:
-    """The levels a family strategy reads and how many of them must flag:
+    """The levels a family strategy reads, ascending, and how many must flag:
     S1 reads level 0 and S3 ``level``, S2 and S4 every level; S4 flags when
     at least a third of them do, and S2 has no verdict (None)."""
     if strategy == "S1":
@@ -145,7 +145,7 @@ def _strategy_levels(strategy: str, p: int, level: int | None) -> tuple:
             raise ComplexError(f"strategy S3 needs a level in 0..{p}, got {level}")
         return [level], 1
     if strategy in ("S2", "S4"):
-        return list(range(p + 1)), None if strategy == "S2" else -(-(p + 1) // 3)
+        return range(p + 1), None if strategy == "S2" else -(-(p + 1) // 3)
     raise ComplexError(f"unknown strategy {strategy!r}")
 
 
@@ -171,13 +171,10 @@ def detect_anomaly(
     tests = np.asarray(test_signal, dtype=float)
     if isinstance(source, Spectrum):
         return _single_verdict(source, baselines, tests, r, epsilon, strategy, level)
-    family: LaplacianFamily = source
-    levels, need = _strategy_levels(strategy, family.p, level)
-    per_level = [
-        _single_verdict(eigendecompose(family.laplacian(i)), baselines, tests, r, epsilon,
-                        strategy, i)
-        for i in levels
-    ]
+    levels, need = _strategy_levels(strategy, source.p, level)
+    walk = enumerate(itertools.islice(source.levels(), levels[-1] + 1))  # up to the last read
+    per_level = [_single_verdict(eigendecompose(m), baselines, tests, r, epsilon, strategy, i)
+                 for i, m in walk if i in levels]
     if strategy in ("S1", "S3"):
         return per_level[0]
     flagged = None if need is None else sum(v.flagged for v in per_level) >= need
@@ -225,8 +222,9 @@ def detection_rates(
         )
         draws.append((sigs[:, :3].T, tests))
     flags = {}  # level -> [trial, magnitude] verdicts
-    for i in sorted({i for levels, _ in plan.values() for i in levels}):
-        spectrum = eigendecompose(family.laplacian(i))
+    read = {i for levels, _ in plan.values() for i in levels}
+    walk = enumerate(itertools.islice(family.levels(), max(read) + 1))  # up to the last read
+    for i, spectrum in ((i, eigendecompose(m)) for i, m in walk if i in read):
         flags[i] = np.reshape(
             [_single_verdict(spectrum, base, tests, r, epsilon).flagged for base, tests in draws],
             (trials, len(magnitudes)),
@@ -323,7 +321,7 @@ def denoise_best_fractions(
         # the result is keyed by SNR: a repeat would run its trials twice
         raise ComplexError("denoise_best_fractions needs distinct SNRs")
     cut = _denoise_cut(family.graph.n, r, s, num_classes)
-    spectra = [eigendecompose(family.laplacian(i), upto=cut - 1) for i in range(family.p + 1)]
+    spectra = [eigendecompose(m, upto=cut - 1) for m in family.levels()]
     truth = labels.astype(int)[:, None]
     best_frac = {}
     for snr in snrs:

@@ -477,9 +477,7 @@ def family_levels_reference(g, batches, wmap):
             lap[np.ix_(rows, rows)] += block
             triangles.add(t)
         complexes.append(SimplicialComplex(g.vertices, edges, triangles))
-        sym = (lap + lap.T) / 2.0
-        prov = tuple(sorted(triangles, key=lambda t: tuple(idx[v] for v in t)))
-        laplacians.append(GeneralizedLaplacian(sym, g.vertices, prov))
+        laplacians.append(GeneralizedLaplacian((lap + lap.T) / 2.0, g.vertices, ()))
 
     return complexes, laplacians
 

@@ -60,6 +60,12 @@ class TestComplexIO:
         p.write_text("u,v,w\n1,2,3.0\n")
         assert load_graph(p).edges == {(1, 2): 3.0}
 
+    @pytest.mark.parametrize("header", ["source,target", "u,v,w"])
+    def test_edge_csv_header_after_blank_lines(self, tmp_path, header):
+        p = tmp_path / "edges.csv"
+        p.write_text(f"\n , \n{header}\n1,2\n")
+        assert load_graph(p).edges == {(1, 2): 1.0}
+
     def test_edge_csv_default_weight(self, tmp_path):
         p = tmp_path / "edges.csv"
         p.write_text("1,2\n2,3\n")
@@ -134,6 +140,13 @@ class TestSignalsAndMatrices:
         assert header == ["a", "b", "c"]
         np.testing.assert_array_equal(loaded, sig)
 
+    def test_signals_header_after_blank_lines(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("\n\na,b\n1.5,2.5\n")
+        header, sig = load_signals(p)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(sig, [[1.5, 2.5]])
+
     def test_signals_no_header(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("1.5,2.5\n3.5,4.5\n")
@@ -184,6 +197,11 @@ class TestSignalsAndMatrices:
     def test_points(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("x,y\n0.0,0.0\n1.0,2.0\n")
+        np.testing.assert_array_equal(load_points(p), [[0.0, 0.0], [1.0, 2.0]])
+
+    def test_points_header_after_blank_lines(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text(" , \nx,y\n0.0,0.0\n1.0,2.0\n")
         np.testing.assert_array_equal(load_points(p), [[0.0, 0.0], [1.0, 2.0]])
 
     def test_points_blank_rows_skipped(self, tmp_path):
@@ -770,6 +788,49 @@ def test_learn_three_bands_golden_output(tmp_path, monkeypatch, mode):
     assert written == LEARN_GOLDEN[mode]
 
 
+def count_level_reads(monkeypatch) -> list:
+    """Wrap LaplacianFamily.levels so that the list it returns counts the
+    levels every walk yields; laplacian(i) walks too."""
+    reads, walk = [], structure_learning.LaplacianFamily.levels
+
+    def counted(self):
+        for m in walk(self):
+            reads.append(m)
+            yield m
+
+    monkeypatch.setattr(structure_learning.LaplacianFamily, "levels", counted)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "command, extra, bound",
+    [
+        ("learn", ["--signals", "sig.csv", "--out", "out"], 15),
+        ("fit-filter", ["--signals", "sig.csv", "--out", "fit.json"], 5),
+        ("compress", {"trials": 2, "count": 3}, 5),
+        ("detect", {"trials": 2, "strategies": ["S1", "S4"]}, 5),
+        ("detect", {"trials": 2, "strategies": ["S3"], "s3_level": 1}, 2),  # stops at level 1
+        ("denoise", {"trials": 2}, 5),
+    ],
+    ids=["learn", "fit-filter", "compress", "detect", "detect-S3", "denoise"],
+)
+def test_commands_walk_the_family_once_per_read(tmp_path, monkeypatch, command, extra, bound):
+    """A level is built by one step of a walk, never by a replay from L_0:
+    learn reads the family three times and every other command once, so
+    p = 4 gives at most 15 or 5 levels."""
+    monkeypatch.chdir(tmp_path)
+    Path("g.csv").write_text(GOLDEN_EDGES)
+    Path("sig.csv").write_text(GOLDEN_SIGNALS)
+    if isinstance(extra, dict):
+        Path("cfg.json").write_text(json.dumps({"graph": "g.csv", "p": 4, "out_dir": "out", **extra}))
+        argv = ["--config", "cfg.json"]
+    else:
+        argv = ["--graph", "g.csv", "--p", "4", *extra]
+    reads = count_level_reads(monkeypatch)
+    assert main([command, *argv]) == 0
+    assert 0 < len(reads) <= bound
+
+
 class TestExperimentConfigs:
     @pytest.mark.parametrize(
         "command, cfg, key",
@@ -804,6 +865,9 @@ class TestExperimentConfigs:
             ("compress", {"count": 0, "graph": MISSING_GRAPH}, "count"),
             ("compress", {"planted_fraction": 3, "graph": MISSING_GRAPH}, "planted_fraction"),
             ("detect", {"planted_fraction": -0.5, "graph": MISSING_GRAPH}, "planted_fraction"),
+            ("denoise", {"n": 2, "graph": MISSING_GRAPH}, "n"),
+            ("denoise", {"n": 3e9, "graph": MISSING_GRAPH}, "n"),
+            ("denoise", {"n": commands.N_MAX + 1, "graph": MISSING_GRAPH}, "n"),
         ],
         ids=["detect-zero-trials", "denoise-zero-trials", "compress-p-not-integer",
              "detect-magnitude-not-numeric", "config-not-an-object", "p-fractional",
@@ -813,7 +877,8 @@ class TestExperimentConfigs:
              "compress-bands-above-bound", "compress-bands-huge", "denoise-r-zero",
              "denoise-r-one", "denoise-s-above-one", "denoise-s-negative",
              "denoise-noise-fraction-zero", "denoise-noise-fraction-seven", "compress-count-zero",
-             "compress-planted-fraction-three", "detect-planted-fraction-negative"],
+             "compress-planted-fraction-three", "detect-planted-fraction-negative",
+             "denoise-n-two", "denoise-n-huge", "denoise-n-above-bound"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg, key):
         rc = run_config(tmp_path, command, cfg)
