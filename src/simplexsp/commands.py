@@ -352,8 +352,8 @@ def cmd_fit_filter(args):
     if signals.shape[1] < 2:
         raise ParseError("fit-filter needs two signal columns (input, target)")
     family = build_family(g, p=args.p, num_bands=args.bands, seed=args.seed)
-    levels = [m.copy() for m in family.levels()]  # the fit reads every level at once
-    fit = fit_continuous_filter(levels, signals[:, 0], signals[:, 1], args.degree, args.t_grid)
+    fit = fit_continuous_filter(family.levels(), signals[:, 0], signals[:, 1], args.degree,
+                                args.t_grid)
     result = {"level": fit.level, "t": fit.t, "coeffs": fit.coeffs.tolist(), "residual": fit.residual}
     out = _write_json(Path(args.out), result)
     config = {"degree": args.degree, "p": args.p, "t_grid": args.t_grid}

@@ -243,10 +243,11 @@ def from_hypergraph(h: Hypergraph, default_weight: float = 1.0) -> SimplicialCom
     """
     if not math.isfinite(default_weight) or default_weight <= 0:
         raise ComplexError(f"default weight must be positive, got {default_weight}")
+    pos = {v: i for i, v in enumerate(h.vertices)}
     edges: dict = {}
     simplices: set = set()
     for he in h.hyperedges:
-        members = sorted(he, key=lambda v: h.vertices.index(v))
+        members = sorted(he, key=pos.__getitem__)
         for u, v in itertools.combinations(members, 2):
             edges[(u, v)] = default_weight
         for size in range(3, len(members) + 1):
@@ -361,25 +362,35 @@ def skeleton(x: SimplicialComplex, m: int) -> SimplicialComplex:
     return SimplicialComplex(x.vertices, x.edges, simplices)
 
 
+def _components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Per vertex, the lowest row connected to it over ``edges`` ((E, 2) rows).
+
+    Each round hooks every root label under the lowest root label across an
+    edge, then follows labels to their roots.  Every root with a crossing
+    edge joins another in a round, so the rounds grow as log n in any order.
+    """
+    labels = np.arange(n)
+    a, b = edges.T
+    while True:
+        la, lb = labels[a], labels[b]
+        if (la == lb).all():
+            return labels
+        low = labels.copy()
+        np.minimum.at(low, la, lb)
+        np.minimum.at(low, lb, la)
+        labels = low[low]
+        while (labels != low).any():
+            low, labels = labels, labels[labels]
+
+
 def connected_components(g: WeightedGraph) -> list:
     """Partition of the vertices into maximal connected sets.
 
     Components are ordered by their smallest member (in the vertex order).
     """
-    adj = g.adjacency_sets()
-    seen: set = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    idx = g.index
+    edges = np.array([(idx[u], idx[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+    comps: dict = {}
+    for v, label in zip(g.vertices, _components(g.n, edges).tolist()):
+        comps.setdefault(label, set()).add(v)
+    return list(comps.values())

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _SOURCES
-from .complex_core import ComplexError, SimplicialComplex, WeightedGraph
+from .complex_core import ComplexError, SimplicialComplex, WeightedGraph, _components
 from .laplacian import (
     GeneralizedLaplacian,
     _shape_constants,
@@ -72,20 +72,6 @@ def _incidence(x: SimplicialComplex) -> _Incidence:
         in_tri,
         np.bincount(np.concatenate([a[in_tri[b]], b[in_tri[a]]]), minlength=n),
     )
-
-
-def _components(n: int, edges: np.ndarray) -> np.ndarray:
-    """Per vertex, the lowest row connected to it over ``edges``."""
-    labels = np.arange(n)
-    a, b = edges.T
-    while True:
-        low = labels.copy()
-        np.minimum.at(low, a, labels[b])
-        np.minimum.at(low, b, labels[a])
-        low = low[low]  # every label is a row of the same component
-        if (low == labels).all():
-            return labels
-        labels = low
 
 
 def _edge_triangle_stats(inc: _Incidence):

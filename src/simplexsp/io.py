@@ -65,7 +65,7 @@ def load_complex(path, invert_similarity: bool = False) -> SimplicialComplex:
             for k, row in enumerate(data.get("edges", [])):
                 u, v, w = row
                 w = _maybe_invert(float(w), invert_similarity, f"{path} edge {k}")
-                if edges.setdefault((u, v), w) != w:
+                if edges.setdefault((u, v), w) != w or edges.get((v, u), w) != w:
                     raise ParseError(f"{path} edge {k}: conflicting duplicate edge {u!r},{v!r}")
             simplices = [tuple(s) for s in data.get("simplices", [])]
             return SimplicialComplex(vertices, edges, simplices)

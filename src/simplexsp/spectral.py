@@ -431,26 +431,27 @@ def fit_continuous_filter(
     levels, x1: np.ndarray, x2: np.ndarray, b: int, t_grid: int = 21
 ) -> FilterFit:
     """Grid search over interpolated Laplacians L = t L_i + (1-t) L_{i+1} of
-    the sequence ``levels`` (matrices or GeneralizedLaplacians).
-
-    The inner polynomial-coefficient problem is linear and solved exactly
+    the sequence ``levels`` (matrices or GeneralizedLaplacians), read once in
+    order; a single level is fitted alone.  The fit holds a copy of only the
+    previous level, so a walk that overwrites one array may be passed.  The
+    inner polynomial-coefficient problem is linear and solved exactly
     (normal equations with a 1e-10 ridge); degree runs from 1 to b.
     """
     if b < 1:
         raise ValueError(f"degree bound must be >= 1, got {b}")
     if t_grid < 2:
         raise ValueError(f"t_grid must have >= 2 points, got {t_grid}")
-    mats = [_as_matrix(m) for m in levels]
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if len(mats) < 2:
-        coeffs, residual = _fit_single(mats[0], x1, x2, b)
-        return FilterFit(0, 1.0, coeffs, residual)
-    best: FilterFit | None = None
-    for i in range(len(mats) - 1):
-        for t in np.linspace(0.0, 1.0, t_grid):
-            m = t * mats[i] + (1.0 - t) * mats[i + 1]
-            coeffs, residual = _fit_single(m, x1, x2, b)
-            if best is None or residual < best.residual:
-                best = FilterFit(i, float(t), coeffs, residual)
-    return best
+    best = prev = None
+    for i, level in enumerate(levels):
+        m = _as_matrix(level)
+        if prev is not None:
+            for t in np.linspace(0.0, 1.0, t_grid):
+                coeffs, residual = _fit_single(t * prev + (1.0 - t) * m, x1, x2, b)
+                if best is None or residual < best.residual:
+                    best = FilterFit(i - 1, float(t), coeffs, residual)
+        prev = m.copy()
+    if prev is None:
+        raise ValueError("no levels to fit")
+    return best if best is not None else FilterFit(0, 1.0, *_fit_single(prev, x1, x2, b))

@@ -5,6 +5,7 @@ triangle satisfies the triangle inequality and all star weights are
 non-negative.
 """
 
+import gc
 import itertools
 import os
 import tracemalloc
@@ -56,13 +57,17 @@ def planted_knn_complex(n, seed=0):
 
 def traced(fn):
     """(bytes held with the result of ``fn()`` alive, peak bytes) of one
-    call, by tracemalloc, which counts numpy's array buffers."""
+    call, by tracemalloc, which counts numpy's array buffers.  The collector
+    is paused for the call: a full collection empties the interpreter's free
+    lists, and the blocks that refill them would read as held memory."""
+    gc.disable()
     tracemalloc.start()
     try:
         result = fn()  # alive while the memory is read
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.enable()
 
 
 def random_positive_triple(rng, lo=0.1, hi=10.0):

@@ -14,7 +14,6 @@ from simplexsp import (
     SimplicialComplex,
     WeightedGraph,
     complex_laplacian,
-    connected_components,
     enumerate_candidate_triangles,
     filtration_bands,
     order_within_band,
@@ -600,6 +599,28 @@ def compression_trials_trial_major(family, source, r1, r2, trials, count, seed=0
     return rows
 
 
+def connected_components_dfs(g):
+    """Partition of the vertices into maximal connected sets, by depth-first
+    search from each unseen vertex in the vertex order."""
+    adj = g.adjacency_sets()
+    seen: set = set()
+    comps = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def _triangle_membership(x):
     """Per-vertex and per-edge triangle incidence."""
     tri_vertices: set = set()
@@ -630,7 +651,7 @@ def _interior_counts(x, tri_vertices: set, edge_count: dict):
     if tri_vertices:
         tri_edges = {tuple(sorted(e, key=x.index.__getitem__)): 1.0 for e in edge_count}
         sub = WeightedGraph(sorted(tri_vertices, key=x.index.__getitem__), tri_edges)
-        comps = connected_components(sub)
+        comps = connected_components_dfs(sub)
     else:
         comps = []
     m2 = len(comps)
@@ -745,7 +766,7 @@ def diagnostics_report_reference(x):
     tri_vertices, edge_count = _triangle_membership(x)
     m1, m2, m3, m4 = _interior_counts(x, tri_vertices, edge_count)
     distinctive = distinctive_check_reference(x)
-    connected = len(connected_components(x.graph())) == 1
+    connected = len(connected_components_dfs(x.graph())) == 1
     g = x.graph()
     triangles = x.triangles()
     gammas = [

@@ -20,7 +20,12 @@ from simplexsp import (
 )
 
 from conftest import random_complexes, random_graphs, traced
-from oracles import knn_graph_sorted, laplacian_matrix_dense, maximal_simplices_quadratic
+from oracles import (
+    connected_components_dfs,
+    knn_graph_sorted,
+    laplacian_matrix_dense,
+    maximal_simplices_quadratic,
+)
 
 # one to three coordinates from a few values, so that distances tie and
 # points repeat, or from a float range
@@ -297,6 +302,21 @@ class TestConnectedComponents:
     def test_no_edges(self):
         g = WeightedGraph([1, 2, 3], {})
         assert connected_components(g) == [{1}, {2}, {3}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs())
+    def test_matches_dfs(self, g):
+        assert connected_components(g) == connected_components_dfs(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.lists(st.tuples(st.integers(0, 199), st.integers(0, 199)),
+                                          max_size=300), st.integers(0, 2**32 - 1))
+    def test_matches_dfs_on_shuffled_ids(self, n, pairs, seed):
+        # rows in a random order, so labels travel along no path
+        ids = np.random.default_rng(seed).permutation(n).tolist()
+        edges = {(ids[u % n], ids[v % n]): 1.0 for u, v in pairs if u % n != v % n}
+        g = WeightedGraph(ids, edges)
+        assert connected_components(g) == connected_components_dfs(g)
 
 
 class TestFaceClosureValidation:

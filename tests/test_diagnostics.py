@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,18 @@ class TestInteriorCounts:
         x = from_hypergraph(Hypergraph([1, 2, 3, 4], [{1, 2, 3, 4}]))
         with pytest.raises(ComplexError):
             interior_counts(x)
+
+    def test_shuffled_triangle_strip_is_fast(self):
+        # triangles (i, i+1, i+2) on shuffled vertex ids: one component whose
+        # rows follow no path, so a label that moves one hop a round is slow
+        n = 50_000
+        ids = np.random.default_rng(0).permutation(n).tolist()
+        edges = {(ids[i], ids[j]): 1.0 for i in range(n) for j in (i + 1, i + 2) if j < n}
+        x = SimplicialComplex(range(n), edges, [(ids[i], ids[i + 1], ids[i + 2])
+                                                for i in range(n - 2)])
+        start = time.perf_counter()
+        assert interior_counts(x) == (0, 1, 1, 0)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestDistinctiveCheck:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import simplexsp
-from simplexsp import SimplicialComplex, complex_laplacian, from_edge_list
+from simplexsp import SimplicialComplex, complex_laplacian, from_edge_list, knn_graph
 from simplexsp import cli, commands, structure_learning
 from simplexsp.cli import BANDS_MAX, P_MAX, T_GRID_MAX, build_parser, main
 from simplexsp.spectral import FilterFit
@@ -36,7 +36,7 @@ from simplexsp.io import (
     save_signals,
 )
 
-from conftest import LENGTHS, random_complexes, random_metric_complex
+from conftest import LENGTHS, random_complexes, random_metric_complex, traced
 from oracles import save_matrix_csv_savetxt
 
 
@@ -85,10 +85,23 @@ class TestComplexIO:
         with pytest.raises(ParseError) as err:
             load_complex(p)
         assert str(err.value) == f"{p} edge 1: conflicting duplicate edge 1,2"
+        # a reversed repeat is the same edge, as it is in CSV
+        p.write_text(json.dumps({"vertices": [1, 2, 3],
+                                 "edges": [[1, 2, 1.0], [2, 1, 2.0], [2, 3, 1.0]]}))
+        with pytest.raises(ParseError) as err:
+            load_complex(p)
+        assert str(err.value) == f"{p} edge 1: conflicting duplicate edge 2,1"
         # an equal repeat loads, as it does from CSV
         p.write_text(json.dumps({"vertices": [1, 2, 3],
                                  "edges": [[1, 2, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}))
         assert load_complex(p).edges == {(1, 2): 1.0, (2, 3): 1.0}
+        p.write_text(json.dumps({"vertices": [1, 2, 3],
+                                 "edges": [[1, 2, 1.0], [2, 1, 1.0], [2, 3, 1.0]]}))
+        assert load_complex(p).edges == {(1, 2): 1.0, (2, 3): 1.0}
+        p.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 1, 1.0]]}))
+        with pytest.raises(ParseError) as err:
+            load_complex(p)
+        assert str(err.value) == f"{p}: self-loop at vertex 1"
 
     def test_face_closure_error(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -403,6 +416,19 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"simplexsp: {flag} {value}: ")
         assert not out.exists() and not (tmp_path / "fit-filter.manifest.json").exists()
+
+    def test_fit_filter_peak_memory_does_not_grow_with_p(self, tmp_path):
+        # the fit holds two levels at a time, not one per level
+        rng = np.random.default_rng(7)
+        g = knn_graph(rng.standard_normal((200, 2)), 8)
+        graph, sig, out = tmp_path / "g.json", tmp_path / "sig.csv", tmp_path / "fit.json"
+        save_complex(SimplicialComplex(g.vertices, g.edges), graph)
+        save_signals(rng.standard_normal((g.n, 2)), sig)
+        argv = ["fit-filter", "--graph", str(graph), "--signals", str(sig), "--t-grid", "2",
+                "--degree", "2", "--out", str(out), "--p"]
+        assert main([*argv, "2"]) == 0  # loads the modules and fills the solvers' caches
+        peak = {p: traced(lambda: main([*argv, str(p)]))[1] for p in (2, 12)}
+        assert peak[12] - peak[2] < 8 * g.n**2
 
     def test_fit_filter_t_grid_bound_accepted(self, tmp_path, monkeypatch):
         # the largest grid reaches the fit; a stand-in fit keeps it unallocated

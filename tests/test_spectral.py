@@ -13,7 +13,9 @@ from simplexsp import (
     NumericalError,
     SimplicialComplex,
     Spectrum,
+    WeightedGraph,
     bandpass,
+    build_family,
     commutator_norm,
     complex_laplacian,
     convolve,
@@ -888,3 +890,23 @@ class TestFitContinuousFilter:
             fit_continuous_filter(mats, np.zeros(10), np.zeros(10), b=0)
         with pytest.raises(ValueError):
             fit_continuous_filter(mats, np.zeros(10), np.zeros(10), b=1, t_grid=1)
+        with pytest.raises(ValueError, match="no levels"):
+            fit_continuous_filter([], np.zeros(10), np.zeros(10), b=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs(), st.integers(1, 4), st.integers(1, 2), st.integers(0, 50),
+           st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @example(WeightedGraph([0, 1, 2], {(0, 1): 10.0}), 1, 1, 0, 2, 3, 3)  # singular Gram
+    def test_walk_matches_copied_levels_bitwise(self, g, p, bands, seed, t_grid, b, signal_seed):
+        # the walk overwrites one array at each step; the fit keeps its own copy
+        fam = build_family(g, p=p, num_bands=bands, seed=seed)
+        x1, x2 = np.random.default_rng(signal_seed).standard_normal((2, g.n))
+
+        def outcome(levels):
+            try:
+                fit = fit_continuous_filter(levels, x1, x2, b, t_grid)
+            except np.linalg.LinAlgError as exc:  # a singular Gram matrix, on both sides
+                return repr(exc)
+            return fit.level, fit.t, fit.coeffs.view(np.int64).tolist(), fit.residual.hex()
+
+        assert outcome(fam.levels()) == outcome([m.copy() for m in fam.levels()])
