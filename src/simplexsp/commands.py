@@ -196,7 +196,7 @@ def _parse_poly(text: str) -> tuple:
 
 def cmd_filter(args):
     m = load_matrix(args.laplacian)
-    _, signals = load_signals(args.signals)
+    signals = load_signals(args.signals)
     _check_rows(args.signals, signals, m.shape[0])
     if args.band is not None:
         band = _parse_band(args.band, m.shape[0])
@@ -215,7 +215,7 @@ def cmd_learn(args):
     g = load_graph(args.graph, args.invert_similarity)
     inputs = [args.graph]
     if args.signals:
-        _, signals = load_signals(args.signals)
+        signals = load_signals(args.signals)
         _check_rows(args.signals, signals, g.n)
         inputs.append(args.signals)
     family = build_family(g, p=args.p, num_bands=args.bands, seed=args.seed, mode=args.mode)
@@ -248,7 +248,7 @@ def cmd_compress(args):
         signals=(None, _text),
     )
     if c.signals is not None:
-        _, source = load_signals(c.signals)
+        source = load_signals(c.signals)
         _check_rows(c.signals, source, g.n)
     else:
         source = eigendecompose(complex_laplacian(planted_complex(g, c.planted_fraction, c.seed)))
@@ -310,7 +310,7 @@ def cmd_denoise(args):
     )
     inputs = [] if c.graph is None else [c.graph]
     if c.labels is not None:
-        _, lab = load_signals(c.labels)
+        lab = load_signals(c.labels)
         _check_rows(c.labels, lab, g.n)
         labels = lab[:, 0]
         bad = np.flatnonzero((labels != np.rint(labels)) | (np.abs(labels) > LABEL_MAX))
@@ -347,7 +347,7 @@ def cmd_fit_filter(args):
     if args.degree > g.n:
         raise ParseError(f"--degree {args.degree}: the polynomial degree must be at most "
                          f"the vertex count ({g.n})")
-    _, signals = load_signals(args.signals)
+    signals = load_signals(args.signals)
     _check_rows(args.signals, signals, g.n)
     if signals.shape[1] < 2:
         raise ParseError("fit-filter needs two signal columns (input, target)")

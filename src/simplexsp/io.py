@@ -23,7 +23,6 @@ __all__ = [
     "save_complex",
     "load_signals",
     "save_signals",
-    "load_points",
     "load_matrix",
     "save_matrix_csv",
     "save_matrix_json",
@@ -51,18 +50,31 @@ def _maybe_invert(w: float, invert: bool, ctx: str) -> float:
     return w
 
 
+def _load_json(path: Path, what: str, keys: tuple) -> dict:
+    """A JSON file holding one object with the given keys."""
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: a {what} is a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ParseError(f"{path}: missing key {key!r}")
+    return data
+
+
 def load_complex(path, invert_similarity: bool = False) -> SimplicialComplex:
     """Load a complex from JSON ({vertices, edges, simplices}) or a CSV edge list."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        data = _load_json(path, "complex", ("vertices",))
         try:
             vertices = data["vertices"]
             edges = {}
             for k, row in enumerate(data.get("edges", [])):
+                if not isinstance(row, list) or len(row) != 3:
+                    raise ParseError(f"{path} edge {k}: expected [u, v, w], got {row!r}")
                 u, v, w = row
                 w = _maybe_invert(float(w), invert_similarity, f"{path} edge {k}")
                 if edges.setdefault((u, v), w) != w or edges.get((v, u), w) != w:
@@ -140,21 +152,17 @@ def save_complex(x: SimplicialComplex, path) -> None:
     Path(path).write_text(json.dumps(data, indent=1, sort_keys=True))
 
 
-def load_signals(path):
-    """Signal CSV: one column per signal, optional header row of vertex ids;
-    every value must be finite.
-
-    Returns (vertex_ids or None, array of shape n x num_signals).
-    """
+def load_signals(path) -> np.ndarray:
+    """Signal CSV as an n x num_signals array: one row per vertex, one
+    column per signal, every value finite.  A non-numeric first row is a
+    header and is skipped."""
     path = Path(path)
     rows = []
-    header = None
     for k, (lineno, row) in enumerate(_rows(path)):
         try:
             values = [float(c) for c in row]
         except ValueError:
             if k == 0:  # the first row that is not blank
-                header = [_coerce_vertex(c) for c in row]
                 continue
             raise ParseError(f"{path}:{lineno}: non-numeric value in {row}")
         if not np.isfinite(values).all():
@@ -166,25 +174,17 @@ def load_signals(path):
     for k, r in enumerate(rows):
         if len(r) != width:
             raise ParseError(f"{path}: ragged rows at data row {k + 1}")
-    return header, np.array(rows)
+    return np.array(rows)
 
 
-def save_signals(signals: np.ndarray, path, vertex_ids=None) -> None:
+def save_signals(signals: np.ndarray, path) -> None:
     signals = np.asarray(signals, dtype=float)
     if signals.ndim == 1:
         signals = signals[:, None]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if vertex_ids is not None:
-            writer.writerow(list(vertex_ids))
         for row in signals:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def load_points(path) -> np.ndarray:
-    """Point-cloud CSV: one row per point, finite numeric columns, and an
-    optional header row."""
-    return load_signals(path)[1]
 
 
 def load_matrix(path) -> np.ndarray:
@@ -196,7 +196,7 @@ def load_matrix(path) -> np.ndarray:
     path = Path(path)
     try:
         if path.suffix.lower() == ".json":
-            data = json.loads(path.read_text())
+            data = _load_json(path, "matrix", ("n", "rows"))
             m, n = np.array(data["rows"], dtype=float), data["n"]
         else:
             with warnings.catch_warnings():
@@ -204,9 +204,9 @@ def load_matrix(path) -> np.ndarray:
                 warnings.simplefilter("ignore", UserWarning)
                 m = np.loadtxt(path, delimiter=",", ndmin=2)
             n = len(m)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except ParseError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not m.size:
         raise ParseError(f"{path}: no matrix rows")

@@ -313,28 +313,28 @@ def denoise_best_fractions(
 ) -> dict:
     """For each SNR, the share of trials in which each level recovers the
     most labels; a tie splits the trial equally among the tied levels.
-    SNRs must not repeat.  Each level is solved once, for its kept band,
-    and denoises all trials of an SNR at once, one trial per column."""
+    SNRs must not repeat.  Every SNR's trials are drawn first; then each
+    level is solved once, for its kept band, and denoises them all, one
+    trial per column."""
     if trials < 1:
         raise ComplexError(f"need at least one trial, got {trials}")
     if len(set(snrs)) < len(snrs):
         # the result is keyed by SNR: a repeat would run its trials twice
         raise ComplexError("denoise_best_fractions needs distinct SNRs")
     cut = _denoise_cut(family.graph.n, r, s, num_classes)
-    spectra = [eigendecompose(m, upto=cut - 1) for m in family.levels()]
+    noisy = [np.column_stack([inject_label_noise(labels, fraction, snr, seed + 31 * t)
+                              for t in range(trials)])
+             for snr in snrs]
     truth = labels.astype(int)[:, None]
+    # correct[i, k, trial]: labels level i recovers in that trial of SNR k
+    correct = np.array([
+        [np.sum(denoise_labels(spectrum, x, r, s, num_classes) == truth, axis=0) for x in noisy]
+        for spectrum in (eigendecompose(m, upto=cut - 1) for m in family.levels())
+    ])
     best_frac = {}
-    for snr in snrs:
-        noisy = np.column_stack(
-            [inject_label_noise(labels, fraction, snr, seed + 31 * t) for t in range(trials)]
-        )
-        # correct[i, trial]: labels level i recovers in that trial
-        correct = np.array([
-            np.sum(denoise_labels(spectrum, noisy, r, s, num_classes) == truth, axis=0)
-            for spectrum in spectra
-        ])
+    for k, snr in enumerate(snrs):
         best_counts = np.zeros(family.p + 1)
-        for counts in correct.T:
+        for counts in correct[:, k].T:
             winners = np.flatnonzero(counts == counts.max())
             best_counts[winners] += 1.0 / len(winners)
         best_frac[snr] = (best_counts / trials).tolist()

@@ -49,6 +49,11 @@ class TestFromEdgeList:
         with pytest.raises(ComplexError):
             from_edge_list([(1, 1)])
 
+    def test_four_field_entry_rejected(self):
+        with pytest.raises(ComplexError) as err:
+            from_edge_list([(1, 2), (2, 3, 1.0, 5)])
+        assert str(err.value) == "edge entry (2, 3, 1.0, 5) must have 2 or 3 fields"
+
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(ComplexError):
             from_edge_list([(1, 2, 1.0), (2, 1, 2.0)])

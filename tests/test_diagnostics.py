@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import simplexsp
 from simplexsp import (
     ComplexError,
+    DistinctiveResult,
     GeneralizedLaplacian,
     Hypergraph,
     NumericalError,
@@ -155,6 +156,18 @@ class TestDistinctiveCheck:
     def test_witness_none_when_distinctive(self, rng):
         x, _ = pendant_complex(rng)
         assert distinctive_check(x).witness is None
+
+    def test_complete_complex_gives_x_minus_x1(self):
+        # K_9 with every unit triangle: each edge joins 7 triangles, and
+        # L_X - L_{X^1} qualifies; K_8 (6 per edge) qualifies neither way
+        def complete(n):
+            edges = dict.fromkeys(itertools.combinations(range(n), 2), 1.0)
+            return SimplicialComplex(range(n), edges, list(itertools.combinations(range(n), 3)))
+
+        assert distinctive_check(complete(9)) == DistinctiveResult("X_minus_X1", False, None)
+        assert distinctive_check(complete(8)).direction == "neither"
+        for n in (8, 9):
+            assert distinctive_check(complete(n)) == distinctive_check_reference(complete(n))
 
 
 class TestCertificate:

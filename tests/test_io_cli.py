@@ -28,7 +28,6 @@ from simplexsp.io import (
     load_complex,
     load_graph,
     load_matrix,
-    load_points,
     load_signals,
     save_complex,
     save_matrix_csv,
@@ -127,6 +126,35 @@ class TestComplexIO:
         p.write_text("1,2,4.0\n")
         assert load_graph(p, invert_similarity=True).edges == {(1, 2): 0.25}
 
+    @pytest.mark.parametrize("text, problem", [
+        ("1,2,3.0\n2,3,heavy\n", ":2: bad weight 'heavy'"),
+        ("1,2\n\n3,3\n", ":3: self-loop at 3"),
+        ("1,2,3.0\n2,1,4.0\n", ":2: conflicting duplicate edge 2,1"),
+    ], ids=["bad-weight", "self-loop", "reversed-conflict"])
+    def test_edge_csv_error_names_its_row(self, tmp_path, text, problem):
+        p = tmp_path / "edges.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_complex(p)
+        assert str(err.value) == f"{p}{problem}"
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("edges.csv", "1,2,4.0\n2,3,0\n", ":2"),
+        ("c.json", json.dumps({"vertices": [1, 2], "edges": [[1, 2, 0.0]]}), " edge 0"),
+    ], ids=["csv", "json"])
+    def test_invert_zero_similarity_error(self, tmp_path, name, text, where):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_complex(p, invert_similarity=True)
+        assert str(err.value) == f"{p}{where}: cannot invert non-positive similarity 0.0"
+
+    def test_invalid_json_complex_error(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"vertices": [')
+        with pytest.raises(ParseError, match=r"c\.json: invalid JSON \("):
+            load_complex(p)
+
     def test_roundtrip(self, tmp_path, rng):
         x = random_metric_complex(rng, n=10, edge_prob=0.6, triangle_prob=0.7)
         p = tmp_path / "x.json"
@@ -148,30 +176,35 @@ class TestSignalsAndMatrices:
     def test_signals_roundtrip(self, tmp_path, rng):
         sig = rng.standard_normal((6, 3))
         p = tmp_path / "s.csv"
-        save_signals(sig, p, vertex_ids=["a", "b", "c"])
-        header, loaded = load_signals(p)
-        assert header == ["a", "b", "c"]
-        np.testing.assert_array_equal(loaded, sig)
+        save_signals(sig, p)
+        np.testing.assert_array_equal(load_signals(p), sig)
 
     def test_signals_header_after_blank_lines(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("\n\na,b\n1.5,2.5\n")
-        header, sig = load_signals(p)
-        assert header == ["a", "b"]
-        np.testing.assert_array_equal(sig, [[1.5, 2.5]])
+        np.testing.assert_array_equal(load_signals(p), [[1.5, 2.5]])
 
     def test_signals_no_header(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("1.5,2.5\n3.5,4.5\n")
-        header, sig = load_signals(p)
-        assert header is None
-        np.testing.assert_array_equal(sig, [[1.5, 2.5], [3.5, 4.5]])
+        np.testing.assert_array_equal(load_signals(p), [[1.5, 2.5], [3.5, 4.5]])
 
     def test_ragged_signals_error(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ParseError):
             load_signals(p)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("a,b\n1.0,2.0\n3.0,x\n", ":3: non-numeric value in ['3.0', 'x']"),
+        ("\na,b\n\n", ": no data rows"),
+    ], ids=["later-row-not-numeric", "header-only"])
+    def test_signals_error_names_the_problem(self, tmp_path, text, problem):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_signals(p)
+        assert str(err.value) == f"{p}{problem}"
 
     def test_matrix_csv_roundtrip(self, tmp_path, rng):
         m = rng.standard_normal((5, 5))
@@ -210,24 +243,24 @@ class TestSignalsAndMatrices:
     def test_points(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("x,y\n0.0,0.0\n1.0,2.0\n")
-        np.testing.assert_array_equal(load_points(p), [[0.0, 0.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(load_signals(p), [[0.0, 0.0], [1.0, 2.0]])
 
     def test_points_header_after_blank_lines(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text(" , \nx,y\n0.0,0.0\n1.0,2.0\n")
-        np.testing.assert_array_equal(load_points(p), [[0.0, 0.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(load_signals(p), [[0.0, 0.0], [1.0, 2.0]])
 
     def test_points_blank_rows_skipped(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("0.0,0.0\n\n , \n1.0,2.0\n\n")
-        np.testing.assert_array_equal(load_points(p), [[0.0, 0.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(load_signals(p), [[0.0, 0.0], [1.0, 2.0]])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_points_non_finite_refused(self, tmp_path, value):
         p = tmp_path / "pts.csv"
         p.write_text(f"x,y\n0.0,0.0\n\n1.0,{value}\n")
         with pytest.raises(ParseError, match="pts.csv:4: non-finite value"):
-            load_points(p)
+            load_signals(p)
 
 
 def write_triangle_complex(tmp_path):
@@ -277,7 +310,7 @@ class TestCli:
             ["filter", "--laplacian", str(lap), "--signals", str(sig), "--band", "1:2", "--out", str(out)]
         )
         assert rc == 0
-        _, filtered = load_signals(out)
+        filtered = load_signals(out)
         assert filtered.shape == (4, 2)
 
     def test_filter_empty_band_is_full_band(self, tmp_path):
@@ -290,7 +323,7 @@ class TestCli:
         out = tmp_path / "filtered.csv"
         rc = main(["filter", "--laplacian", str(lap), "--signals", str(sig), "--band", "", "--out", str(out)])
         assert rc == 0
-        _, filtered = load_signals(out)
+        filtered = load_signals(out)
         np.testing.assert_allclose(filtered[:, 0], np.arange(4.0), atol=1e-12)
 
     def test_filter_poly(self, tmp_path, rng):
@@ -305,7 +338,7 @@ class TestCli:
             ["filter", "--laplacian", str(lap), "--signals", str(sig), "--poly", "1.0", "--out", str(out)]
         )
         assert rc == 0
-        _, filtered = load_signals(out)
+        filtered = load_signals(out)
         m = load_matrix(lap)
         np.testing.assert_allclose(filtered[:, 0], m @ sig_arr, atol=1e-12)
 
@@ -560,6 +593,20 @@ class TestCli:
         assert capsys.readouterr().err == f"simplexsp: {lap}: {problem}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, data, problem", [
+        ("laplacian", {"edges": [[1, 2, 1.0]]}, ": missing key 'vertices'"),
+        ("laplacian", [1, 2], ": a complex is a JSON object"),
+        ("laplacian", {"vertices": [1, 2], "edges": [[1, 2]]}, " edge 0: expected [u, v, w], got [1, 2]"),
+        ("spectrum", {"rows": [[1.0]]}, ": missing key 'n'"),
+        ("spectrum", [[1.0]], ": a matrix is a JSON object"),
+    ], ids=["no-vertices", "complex-list", "two-field-edge", "no-n", "matrix-list"])
+    def test_json_input_error_names_the_problem(self, tmp_path, capsys, command, data, problem):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(data))
+        flag = "--complex" if command == "laplacian" else "--laplacian"
+        assert main([command, flag, str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"simplexsp: {p}{problem}\n"
+
     def test_diagnose_one_vertex(self, tmp_path):
         cx = tmp_path / "c.json"
         cx.write_text(json.dumps({"vertices": [0], "edges": [], "simplices": []}))
@@ -731,7 +778,7 @@ class TestSignalFiles:
         out = tmp_path / "out" / "band.csv"
         assert main(["filter", "--laplacian", str(tmp_path / "lap.csv"), "--signals",
                      str(tmp_path / "sig.csv"), "--band", "1:3", "--out", str(out)]) == 0
-        assert np.isfinite(load_signals(out)[1]).all()
+        assert np.isfinite(load_signals(out)).all()
 
 
 class TestLabels:
@@ -812,6 +859,100 @@ def test_learn_three_bands_golden_output(tmp_path, monkeypatch, mode):
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in Path("out").iterdir() if f.name != "learn.manifest.json"}
     assert written == LEARN_GOLDEN[mode]
+
+
+# one class label per golden vertex, in three classes
+GOLDEN_LABELS = "".join(f"{1 + i * 5 % 3}\n" for i in range(16))
+
+
+def golden_complex(unit: bool) -> dict:
+    """The golden graph with the triangles (i, i+1, i+2) for even i; with
+    unit lengths the diagnostics report has a sandwich."""
+    edges = [[int(u), int(v), 1.0 if unit else float(w)]
+             for u, v, w in (row.split(",") for row in GOLDEN_EDGES.split())]
+    simplices = [sorted((i, (i + 1) % 16, (i + 2) % 16)) for i in range(0, 16, 2)]
+    return {"vertices": list(range(16)), "edges": edges, "simplices": simplices}
+
+
+def _denoise_golden(source: dict, r: float) -> tuple:
+    return {"p": 3, "trials": 5, "r": r, "s": 0.5, "seed": 1, **source}, ["out/denoise.csv"]
+
+
+# run -> (argv or experiment config, the outputs whose bytes are pinned)
+GOLDEN_RUNS = {
+    "laplacian-csv": (["laplacian", "--complex", "complex.json", "--out", "l.csv"], ["l.csv"]),
+    "laplacian-json": (["laplacian", "--complex", "complex.json", "--out", "l.json"], ["l.json"]),
+    "spectrum": (["spectrum", "--laplacian", "lap.csv", "--out", "s.json"], ["s.json"]),
+    "filter-band": (["filter", "--laplacian", "lap.csv", "--signals", "sig.csv",
+                     "--band", "2:9", "--out", "f.csv"], ["f.csv"]),
+    "filter-poly": (["filter", "--laplacian", "lap.csv", "--signals", "sig.csv",
+                     "--poly", "0.5,-0.25,0.125", "--out", "f.csv"], ["f.csv"]),
+    "detect": ({"graph": "g.csv", "p": 3, "trials": 4, "magnitudes": [1.0, 5.0, 20.0],
+                "strategies": ["S1", "S3", "S4"], "s3_level": 2, "seed": 4},
+               ["out/detection.csv"]),
+    # the narrow bands are solved by MRRR and r = 0.3 in full; on 16 vertices
+    # r = 0.1 keeps only the constant vector, so every level would tie
+    "denoise-generated-narrow": _denoise_golden({"n": 40}, 0.1),
+    "denoise-generated-wide": _denoise_golden({"n": 40}, 0.3),
+    "denoise-labels-narrow": _denoise_golden({"graph": "g.csv", "labels": "labels.csv"}, 0.19),
+    "denoise-labels-wide": _denoise_golden({"graph": "g.csv", "labels": "labels.csv"}, 0.3),
+    "diagnose-sandwich": (["diagnose", "--complex", "unit.json", "--out", "d.json"], ["d.json"]),
+    "diagnose-no-sandwich": (["diagnose", "--complex", "complex.json", "--out", "d.json"],
+                             ["d.json"]),
+    "fit-filter": (["fit-filter", "--graph", "g.csv", "--signals", "sig.csv", "--p", "3",
+                    "--degree", "2", "--t-grid", "5", "--out", "fit.json"], ["fit.json"]),
+}
+GOLDEN_DIGESTS = {
+    "laplacian-csv": {"l.csv":
+        "7a5dd226ca0252699149383b670ace77736aa99cb1845732ca15aa8ca3ce3e98"},
+    "laplacian-json": {"l.json":
+        "37e7b91c6ff5c5fb1cf8dc6179e44147b630bf4841c0fad6beacc3ef2132ef48"},
+    "spectrum": {"s.json":
+        "2eeacec2ed60fe246e85eebae17cf9cd0efef55a6b888d3ef5342f71f89e2aba"},
+    "filter-band": {"f.csv":
+        "03a7d1cfb3d7f26c80db83243d376fd329669bddc0e40b83d3c3e299e3726ae6"},
+    "filter-poly": {"f.csv":
+        "273ae50ac0b82f872d1a44f37d674e27bbc50149ae5d7094b044598114bdf575"},
+    "detect": {"out/detection.csv":
+        "68b8861451c6fcd71f20a15fc6665abc2c0389c94062272e6833704b860aaa65"},
+    "denoise-generated-narrow": {"out/denoise.csv":
+        "99a6bea5ba88f205a29b80d949194d0231003bd7aafb3f7fbd51bbe0136f6c09"},
+    "denoise-generated-wide": {"out/denoise.csv":
+        "8d8340d8bfc226cb4d56a8204bd382ad8e12e97ea7e73e37c368fc45996cd160"},
+    "denoise-labels-narrow": {"out/denoise.csv":
+        "e3d59798bc46069413e202c7e99f200b109ae3a6dfae6b7c93443479e3d3bd46"},
+    "denoise-labels-wide": {"out/denoise.csv":
+        "32e988e41f5c52e5ac613730ae8858a04b83af261a0014bcb9a5e97e16349eac"},
+    "diagnose-sandwich": {"d.json":
+        "214b8db6e9ad580db4040dddf6fec0f03c9c69ed931fb463abe03275fd397887"},
+    "diagnose-no-sandwich": {"d.json":
+        "d9198cec344912efa0c971eb5bf547e759075a8a87b7f74c1a7a2270e3b34db8"},
+    "fit-filter": {"fit.json":
+        "7a1774cc9a10bf1c778a925ff01a0bb4593a40046fcee5f3b7eb304c558dc22e"},
+}
+
+
+def golden_digests(run: str) -> dict:
+    """Run one GOLDEN_RUNS entry in the current directory: {output: sha256}."""
+    Path("g.csv").write_text(GOLDEN_EDGES)
+    Path("sig.csv").write_text(GOLDEN_SIGNALS)
+    Path("labels.csv").write_text(GOLDEN_LABELS)
+    Path("complex.json").write_text(json.dumps(golden_complex(unit=False)))
+    Path("unit.json").write_text(json.dumps(golden_complex(unit=True)))
+    assert main(["laplacian", "--complex", "complex.json", "--out", "lap.csv"]) == 0
+    argv, outputs = GOLDEN_RUNS[run]
+    if isinstance(argv, dict):
+        Path("cfg.json").write_text(json.dumps({"out_dir": "out", **argv}))
+        argv = [run.split("-")[0], "--config", "cfg.json"]
+    assert main(argv) == 0
+    return {out: hashlib.sha256(Path(out).read_bytes()).hexdigest() for out in outputs}
+
+
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
+def test_command_golden_output(tmp_path, monkeypatch, run):
+    """Every other command keeps its output bytes (one BLAS thread)."""
+    monkeypatch.chdir(tmp_path)
+    assert golden_digests(run) == GOLDEN_DIGESTS[run]
 
 
 def count_level_reads(monkeypatch) -> list:

@@ -30,7 +30,7 @@ from simplexsp import (
     two_cluster_graph,
 )
 
-from conftest import random_metric_complex
+from conftest import random_metric_complex, traced
 from oracles import (
     compression_trials_trial_major,
     denoise_labels_full,
@@ -46,6 +46,11 @@ def random_family(seed, p):
     g = random_metric_complex(rng, n=int(rng.integers(6, 15)), edge_prob=0.6,
                               triangle_prob=1.0, connected=True).graph()
     return build_family(g, p=p, seed=seed % 1000), g
+
+
+def two_class_labels(n):
+    """Label 1 on the first half of the vertices and 2 on the rest."""
+    return np.where(np.arange(n) < n // 2, 1.0, 2.0)
 
 
 def trivial_spectrum(n):
@@ -529,6 +534,8 @@ class TestExperimentHarnesses:
             (lambda: detection_rates(*detect, ["S1", "S3", "S4"], 5, 0.8, 0.05, 50.0, 2), fam.p + 1),
             (lambda: detection_rates(*detect, ["S1", "S3"], 5, 0.8, 0.05, 50.0, 0), 1),
             (lambda: detection_rates(*detect, ["S1", "S3"], 5, 0.8, 0.05, 50.0, 2), 2),
+            (lambda: denoise_best_fractions(fam, two_class_labels(g.n), [0.0, -1.0], 3, 0.3, 0.5,
+                                            0.6, 2), fam.p + 1),
         ]
         for call, levels in calls:
             solved.clear()
@@ -544,6 +551,8 @@ class TestExperimentHarnesses:
             select_model(fam, truth.lowest(10), 0.3)
             compression_trials(fam, truth, 0.3, 0.3, 2, 4)
             detection_rates(fam, truth, [10.0], ["S1", "S4"], 2, 0.8, 0.05, 50.0)
+            detect_anomaly(fam, truth.lowest(3).T, truth.lowest(4)[:, 3], 0.8, 0.05, "S4")
+            denoise_best_fractions(fam, two_class_labels(g.n), [0.0], 2, 0.3, 0.5, 0.6, 2)
 
         run_tasks(build_family(g, p=2))  # fills the graph's and the solvers' caches
         tracemalloc.start()
@@ -553,6 +562,21 @@ class TestExperimentHarnesses:
         held = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.stop()
         assert held < 8 * g.n**2 / 10  # a few interpreter allocations at most
+
+    def test_wide_band_denoise_peak_does_not_grow_with_p(self):
+        # one level's spectrum at a time; above PARTIAL_MAX_FRACTION each is
+        # a full solve, whose clipped columns keep the n x n eigenvectors
+        g = two_cluster_graph(200, p_in=0.05, p_out=0.005, seed=0)
+
+        labels = two_class_labels(g.n)
+
+        def peak(p):
+            fam = build_family(g, p=p)
+            return traced(lambda: denoise_best_fractions(fam, labels, [0.0, -1.0], 4, 0.3, 0.5,
+                                                         0.6, 2))[1]
+
+        peak(2)  # fills the graph's and the solvers' caches
+        assert peak(16) - peak(2) < 8 * g.n**2
 
     def test_detection_rates_reject_s2(self, rng):
         fam, truth = self._setup(rng)
