@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import partial
 
@@ -108,6 +109,9 @@ def main(argv=None) -> int:
         # one line, "<flag> <value>: <reason>" for a bad value, and nothing is read
         print("simplexsp:", *filter(None, (exc.argument_name, exc.message)), file=sys.stderr)
         return EXIT_VALIDATION
+    # one BLAS thread unless the caller set a count: the last bits of some outputs depend on it
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     # the command's modules, numpy among them, load only after argv parses
     from . import commands
 

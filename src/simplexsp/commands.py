@@ -317,6 +317,9 @@ def cmd_denoise(args):
         if bad.size:
             raise ParseError(f"{c.labels}: data row {bad[0] + 1}: label {float(labels[bad[0]])!r} "
                              f"is not an integer in [-{LABEL_MAX}, {LABEL_MAX}]")
+        if c.num_classes is None and labels.max() < 1:
+            raise ParseError(f"{c.labels}: the largest label is {int(labels.max())}; "
+                             "class labels start at 1")
         inputs.append(c.labels)
     else:
         labels = np.array([1 if v < g.n // 2 else 2 for v in range(g.n)], dtype=float)

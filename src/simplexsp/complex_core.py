@@ -174,6 +174,9 @@ class SimplicialComplex:
         return self._graph.n
 
     def canonical_simplex(self, s: Sequence[Vertex]) -> tuple:
+        for v in s:
+            if v not in self._graph.index:
+                raise ComplexError(f"simplex {tuple(s)} references unknown vertex {v!r}")
         t = tuple(sorted(s, key=self._graph.index.__getitem__))
         if len(set(t)) != len(t):
             raise ComplexError(f"simplex {tuple(s)} repeats a vertex")

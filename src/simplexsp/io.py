@@ -64,22 +64,35 @@ def _load_json(path: Path, what: str, keys: tuple) -> dict:
     return data
 
 
+def _array(path: Path, data: dict, key: str) -> list:
+    """``data[key]``, or [] when the key is absent, refused unless a JSON array."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: {key!r} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def load_complex(path, invert_similarity: bool = False) -> SimplicialComplex:
     """Load a complex from JSON ({vertices, edges, simplices}) or a CSV edge list."""
     path = Path(path)
     if path.suffix.lower() == ".json":
         data = _load_json(path, "complex", ("vertices",))
         try:
-            vertices = data["vertices"]
+            vertices = _array(path, data, "vertices")
             edges = {}
-            for k, row in enumerate(data.get("edges", [])):
+            for k, row in enumerate(_array(path, data, "edges")):
                 if not isinstance(row, list) or len(row) != 3:
                     raise ParseError(f"{path} edge {k}: expected [u, v, w], got {row!r}")
                 u, v, w = row
+                if isinstance(w, bool):
+                    raise ParseError(f"{path} edge {k}: the weight {w!r} is not a number")
                 w = _maybe_invert(float(w), invert_similarity, f"{path} edge {k}")
                 if edges.setdefault((u, v), w) != w or edges.get((v, u), w) != w:
                     raise ParseError(f"{path} edge {k}: conflicting duplicate edge {u!r},{v!r}")
-            simplices = [tuple(s) for s in data.get("simplices", [])]
+            simplices = _array(path, data, "simplices")
+            for k, s in enumerate(simplices):
+                if not isinstance(s, list):
+                    raise ParseError(f"{path} simplex {k}: expected a JSON array, got {s!r}")
             return SimplicialComplex(vertices, edges, simplices)
         except ParseError:
             raise
@@ -197,7 +210,9 @@ def load_matrix(path) -> np.ndarray:
     try:
         if path.suffix.lower() == ".json":
             data = _load_json(path, "matrix", ("n", "rows"))
-            m, n = np.array(data["rows"], dtype=float), data["n"]
+            m, n = np.array(_array(path, data, "rows"), dtype=float), data["n"]
+            if isinstance(n, bool):
+                raise ParseError(f"{path}: 'n' must be a count, got {n!r}")
         else:
             with warnings.catch_warnings():
                 # numpy warns on a file without rows; the check below names it

@@ -56,7 +56,7 @@ def _norm_scale(m: np.ndarray) -> float:
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues and the paired orthonormal eigenvector columns;
-    a partial spectrum holds only the lowest of them."""
+    a partial spectrum holds only the lowest of them, in an array of its own."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -85,15 +85,13 @@ class Spectrum:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    if out.size == 0:
-        return out
-    big = np.abs(out) > SIGN_EPS
-    lead = out[big.argmax(axis=0), np.arange(out.shape[1])]
-    # a column with no entry above SIGN_EPS keeps its sign
-    flip = big.any(axis=0) & (lead < 0)
-    out[:, flip] = -out[:, flip]
-    return out
+    """Negate, in place, each column whose first entry above SIGN_EPS is negative."""
+    if vecs.size:
+        big = np.abs(vecs) > SIGN_EPS
+        lead = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])]
+        # a column with no entry above SIGN_EPS keeps its sign; negation is exact
+        np.negative(vecs, out=vecs, where=big.any(axis=0) & (lead < 0))
+    return vecs
 
 
 @functools.cache
@@ -222,14 +220,14 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
 def eigendecompose(l, upto: int | None = None) -> Spectrum:
     """Symmetric eigendecomposition with a deterministic convention.
 
-    With ``upto=k`` below the order the spectrum is partial: it holds the k
-    lowest pairs, and tie blocks are clipped to them.  Below
-    PARTIAL_MAX_FRACTION of the order only those pairs are computed, by
-    LAPACK's MRRR routine (dsyevr), in the matrix's own memory, which is
-    restored bit for bit before the call returns; no other thread may read
-    it meanwhile.  A read-only matrix, or one not C-ordered, is copied once
-    for this.  The matrix must be symmetric within 1e-8 of max(1, its
-    Frobenius norm).
+    Signs are fixed in the solver's own array.  With ``upto=k`` below the
+    order the spectrum is partial: it owns a copy of the k lowest pairs
+    alone, and tie blocks are clipped to them.  Below PARTIAL_MAX_FRACTION
+    of the order only those pairs (and a few past them) are computed, by
+    LAPACK's MRRR routine (dsyevr), in the matrix's own memory, restored bit
+    for bit before the call returns; no other thread may read it meanwhile.
+    A read-only matrix, or one not C-ordered, is copied once for this.  The
+    matrix must be symmetric within 1e-8 of max(1, its Frobenius norm).
     """
     m = _as_matrix(l)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -254,7 +252,7 @@ def eigendecompose(l, upto: int | None = None) -> Spectrum:
             tol = TIE_TOL * max(1.0, float(np.abs(vals).max(initial=0.0)))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    vecs = _fix_signs(vecs)
+    _fix_signs(vecs)
 
     # order columns inside repeated-eigenvalue blocks lexicographically
     blocks = []
@@ -266,8 +264,10 @@ def eigendecompose(l, upto: int | None = None) -> Spectrum:
                 vecs[:, start:j] = vecs[:, order]
                 blocks.append((start, min(j, k)))
             start = j
+    if k < vecs.shape[1]:  # a view would keep every solved column alive
+        vecs = vecs[:, :k].copy(order="K")
     verts = l.vertices if isinstance(l, GeneralizedLaplacian) else ()
-    return Spectrum(vals[:k], vecs[:, :k], tuple(verts), tuple(blocks))
+    return Spectrum(vals[:k], vecs, tuple(verts), tuple(blocks))
 
 
 def gft(s: Spectrum, x: np.ndarray) -> np.ndarray:

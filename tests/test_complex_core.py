@@ -329,6 +329,11 @@ class TestFaceClosureValidation:
         with pytest.raises(ComplexError):
             SimplicialComplex([1, 2, 3], {(1, 2): 1.0, (1, 3): 1.0}, [(1, 2, 3)])
 
+    def test_unknown_vertex_in_simplex_named(self):
+        edges = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
+        with pytest.raises(ComplexError, match=r"simplex \(1, 2, 9\) references unknown vertex 9"):
+            SimplicialComplex([1, 2, 3], edges, [(1, 2, 9)])
+
     def test_duplicate_vertex_in_simplex_rejected(self):
         with pytest.raises(ComplexError):
             SimplicialComplex([1, 2], {(1, 2): 1.0}, [(1, 2, 2)])

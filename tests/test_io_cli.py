@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import string
 import subprocess
 import sys
@@ -599,7 +600,25 @@ class TestCli:
         ("laplacian", {"vertices": [1, 2], "edges": [[1, 2]]}, " edge 0: expected [u, v, w], got [1, 2]"),
         ("spectrum", {"rows": [[1.0]]}, ": missing key 'n'"),
         ("spectrum", [[1.0]], ": a matrix is a JSON object"),
-    ], ids=["no-vertices", "complex-list", "two-field-edge", "no-n", "matrix-list"])
+        ("laplacian", {"vertices": "abc", "edges": [["a", "b", 1]]},
+         ": 'vertices' must be a JSON array, got str"),
+        ("laplacian", {"vertices": 5}, ": 'vertices' must be a JSON array, got int"),
+        ("laplacian", {"vertices": [1, 2], "edges": {"1": 2}},
+         ": 'edges' must be a JSON array, got dict"),
+        ("laplacian", {"vertices": [1, 2], "edges": [[1, 2, True]]},
+         " edge 0: the weight True is not a number"),
+        ("laplacian", {**TRIANGLE_JSON, "simplices": "123"},
+         ": 'simplices' must be a JSON array, got str"),
+        ("laplacian", {**TRIANGLE_JSON, "simplices": ["123"]},
+         " simplex 0: expected a JSON array, got '123'"),
+        ("laplacian", {**TRIANGLE_JSON, "simplices": [[1, 2, 9]]},
+         ": simplex (1, 2, 9) references unknown vertex 9"),
+        ("spectrum", {"n": True, "rows": [[1.0]]}, ": 'n' must be a count, got True"),
+        ("spectrum", {"n": 1, "rows": "1"}, ": 'rows' must be a JSON array, got str"),
+    ], ids=["no-vertices", "complex-list", "two-field-edge", "no-n", "matrix-list",
+            "vertices-string", "vertices-number", "edges-object", "boolean-weight",
+            "simplices-string", "simplex-string", "unknown-simplex-vertex", "boolean-n",
+            "rows-string"])
     def test_json_input_error_names_the_problem(self, tmp_path, capsys, command, data, problem):
         p = tmp_path / "in.json"
         p.write_text(json.dumps(data))
@@ -797,6 +816,14 @@ class TestLabels:
     def test_largest_label_runs(self, tmp_path):
         assert run_signals(tmp_path, "denoise", "1\n1\n2147483647\n2\n2\n2\n") == 0
 
+    @pytest.mark.parametrize("label", ["0", "-3"])
+    def test_no_class_label_exit_2(self, tmp_path, capsys, label):
+        # without num_classes the largest label sets the class count
+        assert run_signals(tmp_path, "denoise", f"{label}\n" * 6) == 2
+        assert capsys.readouterr().err == (f"simplexsp: {tmp_path / 'sig.csv'}: the largest "
+                                           f"label is {label}; class labels start at 1\n")
+        assert not any((tmp_path / "out").iterdir())
+
 
 # a fixed 16-vertex circulant graph with uneven lengths, and fixed signals on it
 GOLDEN_EDGES = "".join(
@@ -805,6 +832,18 @@ GOLDEN_EDGES = "".join(
 GOLDEN_SIGNALS = "".join(
     ",".join(repr(((7 * i + 3 * j) % 11) / 11 - 0.5) for j in range(3)) + "\n" for i in range(16)
 )
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def golden_env() -> str:
+    """A failed golden assert's message: where the digests hold, and what runs."""
+    import scipy
+
+    threads = {var: os.environ.get(var) for var in THREAD_VARS}
+    return (f"the golden bytes hold for numpy 2.4.6, scipy 1.17.1 and one BLAS thread; "
+            f"this run has numpy {np.__version__}, scipy {scipy.__version__} and {threads}")
 
 
 @pytest.mark.parametrize(
@@ -824,7 +863,8 @@ def test_compress_golden_output(tmp_path, monkeypatch, cfg, sha256):
     Path("sig.csv").write_text(GOLDEN_SIGNALS)
     Path("cfg.json").write_text(json.dumps({"graph": "g.csv", "p": 3, "out_dir": "out", **cfg}))
     assert main(["compress", "--config", "cfg.json"]) == 0
-    assert hashlib.sha256(Path("out/compression.csv").read_bytes()).hexdigest() == sha256
+    assert hashlib.sha256(Path("out/compression.csv").read_bytes()).hexdigest() == sha256, \
+        golden_env()
 
 
 LEARN_GOLDEN = {
@@ -858,7 +898,7 @@ def test_learn_three_bands_golden_output(tmp_path, monkeypatch, mode):
                  "--mode", mode, "--out", "out"]) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in Path("out").iterdir() if f.name != "learn.manifest.json"}
-    assert written == LEARN_GOLDEN[mode]
+    assert written == LEARN_GOLDEN[mode], golden_env()
 
 
 # one class label per golden vertex, in three classes
@@ -952,7 +992,7 @@ def golden_digests(run: str) -> dict:
 def test_command_golden_output(tmp_path, monkeypatch, run):
     """Every other command keeps its output bytes (one BLAS thread)."""
     monkeypatch.chdir(tmp_path)
-    assert golden_digests(run) == GOLDEN_DIGESTS[run]
+    assert golden_digests(run) == GOLDEN_DIGESTS[run], golden_env()
 
 
 def count_level_reads(monkeypatch) -> list:
@@ -1312,11 +1352,12 @@ def test_diagnose_fuzz_exits_0_2_or_3(x):
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-def run_fresh(code):
-    """Run Python code in a new interpreter that imports this simplexsp."""
+def run_fresh(code, env=None):
+    """Run Python code in a new interpreter that imports this simplexsp,
+    with the environment ``env`` if one is given."""
     src = str(Path(simplexsp.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, env=env)
 
 
 # the modules of numpy, scipy and simplexsp in sys.modules, space-separated
@@ -1330,6 +1371,27 @@ def test_import_loads_no_scipy():
         proc = run_fresh(f"import {module}, sys; print({LOADED})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == sorted({"simplexsp", module})
+
+
+@pytest.mark.parametrize("openblas", [None, "2"])
+def test_cli_pins_one_blas_thread_unless_set(tmp_path, openblas):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    if openblas:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    cx, lap, out = tmp_path / "complex.json", tmp_path / "lap.csv", tmp_path / "s.json"
+    cx.write_text(json.dumps(golden_complex(unit=False)))
+    assert main(["laplacian", "--complex", str(cx), "--out", str(lap)]) == 0
+    argv = ["spectrum", "--laplacian", str(lap), "--out", str(out)]
+    threads = f"[os.environ.get(var) for var in {THREAD_VARS!r}]"
+    proc = run_fresh(f"import os; from simplexsp import cli\nprint({threads})\n"
+                     f"print(cli.main({argv!r}))\nprint({threads})", env)
+    assert proc.returncode == 0, proc.stderr
+    # the bare import sets nothing; main sets what the caller left unset
+    assert proc.stdout.splitlines() == [str([openblas, None, None]), "0",
+                                        str([openblas or "1", "1", "1"])]
+    if openblas is None:
+        assert {out.name: hashlib.sha256(out.read_bytes()).hexdigest()} == \
+            GOLDEN_DIGESTS["spectrum"]
 
 
 def test_io_loads_no_hashlib():

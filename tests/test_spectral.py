@@ -101,7 +101,18 @@ class TestEigendecompose:
             vecs[: int(rng.integers(0, n + 1)), rng.random(n) < 0.5] = 0.0
             vecs[0, rng.random(n) < 0.2] = -SIGN_EPS
             vecs[:, rng.random(n) < 0.1] *= 1e-13
-            assert _fix_signs(vecs).tobytes() == fix_signs_loop(vecs).tobytes()
+            want = fix_signs_loop(vecs)  # before the call, which flips vecs itself
+            got = _fix_signs(vecs)
+            assert got is vecs and got.tobytes() == want.tobytes()
+
+    def test_full_solve_peak_memory(self, rng):
+        n = 400
+        a = rng.standard_normal((n, n))
+        m = a + a.T
+        eigendecompose(m)  # the LAPACK extension allocates objects of its own
+        # the eigenvectors, then |V| and its mask while the signs are fixed in
+        # place; a copy of the eigenvectors to fix them in made it 3.15 n^2 doubles
+        assert traced(lambda: eigendecompose(m))[1] <= 2.5 * 8 * n * n
 
     def test_deterministic_with_ties(self):
         # complete graph K4: eigenvalue 4 has multiplicity 3
@@ -244,6 +255,13 @@ class TestPartialEigendecompose:
         block = eigendecompose(l, upto=4).eigenvectors[:, 1:]
         assert tuple(part.eigenvectors[:, 1]) == min(tuple(c) for c in block.T)
 
+    @pytest.mark.parametrize("upto", [5, 50])  # below and above 15 % of the order
+    def test_clipped_spectrum_owns_only_its_columns(self, upto):
+        n = 100
+        vecs = eigendecompose(two_cluster_graph(n).laplacian_matrix(), upto=upto).eigenvectors
+        # a view of the solved columns would keep all of them alive
+        assert vecs.shape == (n, upto) and vecs.base is None and vecs.nbytes == 8 * n * upto
+
     @solve_partially()
     def test_slice_inside_a_cluster_falls_back_to_full_solve(self):
         # three zeros, then 0.05 four times up to rounding; the tie block at
@@ -256,6 +274,7 @@ class TestPartialEigendecompose:
             assert part.tie_blocks == tuple((a, min(b, k)) for a, b in full.tie_blocks if a < k)
             vecs = part.eigenvectors
             assert np.linalg.norm(m @ vecs - vecs * part.eigenvalues) < 1e-15
+            assert vecs.base is None  # the fallback's n columns are not kept
 
     @solve_partially()
     def test_top_eigenvalue_solved_only_for_undecided_gaps(self, monkeypatch):
