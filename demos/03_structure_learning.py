@@ -36,7 +36,7 @@ print(f"Family: {family.p + 1} levels,",
       manifest['levels'][-1]['num_triangles'], "candidate triangles in total")
 
 print("\nMedian eigenvalue per level (tends to drift down as triangles fill in):")
-# one walk over the levels: each step writes the next batch over the same array
+# one walk over the levels: each step adds the next batch to the same array
 for i, m in enumerate(family.levels()):
     med = float(np.median(eigendecompose(m).eigenvalues))
     print(f"  L_X{i:<2d}  {med:.4f}")

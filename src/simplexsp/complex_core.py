@@ -94,6 +94,7 @@ class WeightedGraph:
         return a
 
     def laplacian_matrix(self) -> np.ndarray:
+        """D - A in a fresh n x n array that the caller owns."""
         a = self.adjacency_matrix()
         d = a.sum(axis=1)
         # np.diag(d) - a in a's own buffer, bit for bit: 0.0 - a off the diagonal

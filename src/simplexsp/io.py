@@ -84,7 +84,7 @@ def load_complex(path, invert_similarity: bool = False) -> SimplicialComplex:
                 if not isinstance(row, list) or len(row) != 3:
                     raise ParseError(f"{path} edge {k}: expected [u, v, w], got {row!r}")
                 u, v, w = row
-                if isinstance(w, bool):
+                if type(w) not in (int, float):  # no string, null or boolean
                     raise ParseError(f"{path} edge {k}: the weight {w!r} is not a number")
                 w = _maybe_invert(float(w), invert_similarity, f"{path} edge {k}")
                 if edges.setdefault((u, v), w) != w or edges.get((v, u), w) != w:
@@ -96,7 +96,7 @@ def load_complex(path, invert_similarity: bool = False) -> SimplicialComplex:
             return SimplicialComplex(vertices, edges, simplices)
         except ParseError:
             raise
-        except (KeyError, TypeError, ValueError, ComplexError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ComplexError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     return _load_edge_csv(path, invert_similarity)
 
@@ -203,16 +203,24 @@ def save_signals(signals: np.ndarray, path) -> None:
 def load_matrix(path) -> np.ndarray:
     """Dense matrix from CSV rows or the JSON envelope {n, rows, provenance}.
 
-    An empty or non-square matrix, or JSON rows that do not match the
-    declared n, is a :class:`ParseError` naming the file.
+    An empty or non-square matrix, JSON rows that do not match the declared
+    n, or a JSON n or entry that is no number is a :class:`ParseError`
+    naming the file.
     """
     path = Path(path)
     try:
         if path.suffix.lower() == ".json":
             data = _load_json(path, "matrix", ("n", "rows"))
-            m, n = np.array(_array(path, data, "rows"), dtype=float), data["n"]
-            if isinstance(n, bool):
+            rows, n = _array(path, data, "rows"), data["n"]
+            if type(n) is not int:
                 raise ParseError(f"{path}: 'n' must be a count, got {n!r}")
+            for k, row in enumerate(rows):
+                if not isinstance(row, list):
+                    raise ParseError(f"{path} row {k}: expected a JSON array, got {row!r}")
+                if not {*map(type, row)} <= {int, float}:
+                    bad = next(v for v in row if type(v) not in (int, float))
+                    raise ParseError(f"{path} row {k}: the entry {bad!r} is not a number")
+            m = np.array(rows, dtype=float)
         else:
             with warnings.catch_warnings():
                 # numpy warns on a file without rows; the check below names it
@@ -221,7 +229,7 @@ def load_matrix(path) -> np.ndarray:
             n = len(m)
     except ParseError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not m.size:
         raise ParseError(f"{path}: no matrix rows")

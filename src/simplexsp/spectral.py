@@ -30,6 +30,10 @@ TIE_TOL = 1e-10
 # solve's time for the lowest 15 % and 1.02x for the lowest 30 %; a wider
 # bound would move slices to the other solver and change their bits
 PARTIAL_MAX_FRACTION = 0.15
+# a partial solve's pairs must have residuals within this times
+# max(1, ||L||_inf) and be orthonormal within it; MRRR's were below 2e-16
+# and 1.1e-14 on sparse Laplacians up to n=1200
+SLICE_TOL = 1e-10
 
 
 class NumericalError(RuntimeError):
@@ -195,17 +199,27 @@ def _low_pairs(sym: np.ndarray, k: int) -> tuple:
             np.fill_diagonal(sym, diag)
 
     def solve(w):
+        # MRRR can fail on a slice that ends inside a cluster of nearly
+        # equal eigenvalues, or return such a slice's pairs inaccurate
+        # without saying so; the full solve is the fallback for both
         try:
-            return evr(0, w - 1)
+            vals, vecs = evr(0, w - 1)
         except np.linalg.LinAlgError:
-            # MRRR can fail on a slice that ends inside a cluster of nearly
-            # equal eigenvalues; the full solve is the fallback
             return np.linalg.eigh(sym)
+        if np.abs(vecs.T @ vecs - np.eye(len(vals))).max() > SLICE_TOL:
+            return np.linalg.eigh(sym)
+        for j in range(0, len(vals), 32):  # column blocks keep the residual small
+            block = vecs[:, j:j + 32]
+            if np.abs(sym @ block - block * vals[j:j + 32]).max() > SLICE_TOL * norm:
+                return np.linalg.eigh(sym)
+        return vals, vecs
 
     lo = TIE_TOL * max(1.0, float(np.abs(diag).max()))
-    # row blocks keep the |sym| temporary small; each row sums as a whole
-    hi = TIE_TOL * max(1.0, max(float(np.abs(sym[i:i + 32]).sum(axis=1).max())
-                                for i in range(0, n, 32)))
+    # max(1, ||sym||_inf); row blocks keep the |sym| temporary small, and
+    # each row sums as a whole
+    norm = max(1.0, max(float(np.abs(sym[i:i + 32]).sum(axis=1).max())
+                        for i in range(0, n, 32)))
+    hi = TIE_TOL * norm
     vals, vecs = solve(k + 1)  # one extra pair tests the cut
     while True:
         gaps = np.diff(vals)
@@ -336,14 +350,11 @@ def downsample_reconstruct(
     number at most 1e12 (raises :class:`NumericalError` otherwise).
     """
     cols = s.band_columns(b)
-    if s.vertices:
-        vidx = {v: i for i, v in enumerate(s.vertices)}
-        unknown = [v for v in sample_vertices if v not in vidx]
-        if unknown:
-            raise ValueError(f"sample vertices {unknown} are not vertices of the spectrum")
-        rows = [vidx[v] for v in sample_vertices]
-    else:
-        rows = [int(v) for v in sample_vertices]
+    vidx = {v: i for i, v in enumerate(s.vertices or range(s.n))}
+    unknown = [v for v in sample_vertices if v not in vidx]
+    if unknown:
+        raise ValueError(f"sample vertices {unknown} are not vertices of the spectrum")
+    rows = [vidx[v] for v in sample_vertices]
     samples = np.asarray(samples, dtype=float)
     if len(rows) != cols.size:
         raise ValueError(

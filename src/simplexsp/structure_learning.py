@@ -31,14 +31,12 @@ __all__ = list(_SOURCES["structure_learning"])
 class LaplacianFamily:
     """Nested complexes X_0 c ... c X_p with their generalized Laplacians.
 
-    X_i is the graph plus the triangles of ``batches[:i]``.  ``base`` is L_0's
-    nonzero (rows, cols, values); ``updates`` holds per batch (rows, cols,
-    values, fills): the entries the batch touched with their values after
-    it, and the vertex pairs it added with their lengths, in order of first use.
+    X_i is the graph plus the triangles of ``batches[:i]``.  ``updates`` holds per
+    batch (rows, cols, values, fills): the Laplacian entries the batch adds, in
+    order, and the vertex pairs it added with their lengths, in order of first use.
     """
 
     graph: WeightedGraph
-    base: tuple
     updates: list
     batches: list
     bands: list  # (r_lo, r_hi) per filtration band
@@ -53,13 +51,14 @@ class LaplacianFamily:
             raise ComplexError(f"level must lie in 0..{self.p}, got {i}")
 
     def levels(self):
-        """L_0, ..., L_p in turn, in one n x n array: ``base``, then each batch's
-        entries written over it.  The next step overwrites the array, so a caller
-        that keeps a level copies it; one that changes the array between steps
-        restores its bits first, as eigendecompose's in-place partial solve does."""
-        m = np.zeros((self.graph.n, self.graph.n))
-        for rows, cols, values, *_ in [self.base, *self.updates]:
-            m[rows, cols] = values
+        """L_0, ..., L_p in turn, in one n x n array that the walk owns: the graph
+        Laplacian, then each batch's entries added to it.  A caller that keeps a
+        level copies it; one that changes the array between steps restores its
+        bits first, as eigendecompose's in-place partial solve does."""
+        m = self.graph.laplacian_matrix()
+        yield m
+        for rows, cols, values, _ in self.updates:
+            np.add.at(m, (rows, cols), values)
             yield m
 
     def laplacian(self, i: int) -> GeneralizedLaplacian:
@@ -211,9 +210,9 @@ def build_family(
 ) -> LaplacianFamily:
     """Run the full pipeline: enumerate, band, order, partition, assemble.
 
-    One Laplacian is updated incrementally: each added triangle retires the
-    edge blocks of graph edges it is the first to cover, then adds its
-    closed-form block; the family records what each batch changed.
+    Each added triangle retires the edge blocks of graph edges it is the
+    first to cover, then adds its closed-form block; the family records the
+    entries each batch adds, which ``levels()`` adds to the graph Laplacian.
     """
     triples = enumerate_candidate_triangles(g, mode)
     triples, wmap = _triple_weights(g, triples, mode)
@@ -223,10 +222,6 @@ def build_family(
     batches = partition_queue(queue, p)
 
     idx = g.index
-    lap = g.laplacian_matrix()
-    # L_0's zeros are all +0.0, so its nonzero entries rebuild it bit for bit
-    rows, cols = np.nonzero(lap)
-    base = (rows, cols, lap[rows, cols])
     # rows of the vertex pairs so far; False for a graph edge no triangle covers
     covered = {(idx[u], idx[v]): False for u, v in g.edges}
     updates = []
@@ -247,16 +242,9 @@ def build_family(
                 covered[pair] = True
             simplices.append(rows)
             weights.append(tri_weights)
-        rows, cols, values = block_entries(simplices, weights)
-        np.add.at(lap, (rows, cols), values)
-        # the triangle blocks hold every entry the batch touched
-        # np.unique would give the same keys, but it imports numpy.ma
-        keys = np.sort(rows * g.n + cols)
-        keys = keys[np.diff(keys, prepend=-1) != 0]  # -1 is no key; empty stays empty
-        rows, cols = np.divmod(keys, g.n)
-        updates.append((rows, cols, lap[rows, cols], fills))
+        updates.append((*block_entries(simplices, weights), fills))
 
-    return LaplacianFamily(g, base, updates, batches, bands, seed)
+    return LaplacianFamily(g, updates, batches, bands, seed)
 
 
 def _low_band_residual(spectrum: Spectrum, signals: np.ndarray, r: float) -> np.ndarray:

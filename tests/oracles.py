@@ -60,9 +60,10 @@ def laplacian_matrix_dense(g):
 def family_laplacians_dense(g, p, num_bands=1, seed=0, mode="closed"):
     """The matrix of every level of ``build_family(g, p, num_bands, seed, mode)``.
 
-    Reference for :class:`simplexsp.LaplacianFamily`, which keeps only L_0's
-    nonzero entries: the family's assembly with L_0 kept as a dense matrix,
-    each level a copy of it with the updates of its batches written over it.
+    Reference for :class:`simplexsp.LaplacianFamily`, whose walk adds each
+    batch's entries to the graph Laplacian in one array: here the batches are
+    summed once, from ``laplacian_matrix_dense(g)``, and each level is a copy
+    of L_0 with the values after its batches written over it.
     """
     triples, wmap = _triple_weights(g, enumerate_candidate_triangles(g, mode), mode)
     _, members = filtration_bands(triples, wmap, num_bands)

@@ -615,10 +615,23 @@ class TestCli:
          ": simplex (1, 2, 9) references unknown vertex 9"),
         ("spectrum", {"n": True, "rows": [[1.0]]}, ": 'n' must be a count, got True"),
         ("spectrum", {"n": 1, "rows": "1"}, ": 'rows' must be a JSON array, got str"),
+        ("laplacian", {"vertices": [1, 2], "edges": [[1, 2, "1.5"]]},
+         " edge 0: the weight '1.5' is not a number"),
+        ("laplacian", {"vertices": [1, 2, 3], "edges": [[1, 2, 1.0], [2, 3, None]]},
+         " edge 1: the weight None is not a number"),
+        ("laplacian", {"vertices": [1, 2], "edges": [[1, 2, 10**400]]},
+         ": int too large to convert to float"),
+        ("spectrum", {"n": 1.0, "rows": [[True]]}, ": 'n' must be a count, got 1.0"),
+        ("spectrum", {"n": 1, "rows": [[True]]}, " row 0: the entry True is not a number"),
+        ("spectrum", {"n": 2, "rows": [[1, "2"], ["2", 1]]}, " row 0: the entry '2' is not a number"),
+        ("spectrum", {"n": 2, "rows": [[1, -1], [None, 1]]}, " row 1: the entry None is not a number"),
+        ("spectrum", {"n": 2, "rows": [1, 2]}, " row 0: expected a JSON array, got 1"),
+        ("spectrum", {"n": 1, "rows": [[10**400]]}, ": int too large to convert to float"),
     ], ids=["no-vertices", "complex-list", "two-field-edge", "no-n", "matrix-list",
             "vertices-string", "vertices-number", "edges-object", "boolean-weight",
             "simplices-string", "simplex-string", "unknown-simplex-vertex", "boolean-n",
-            "rows-string"])
+            "rows-string", "string-weight", "null-weight", "huge-weight", "float-n",
+            "boolean-entry", "string-entry", "null-entry", "number-row", "huge-entry"])
     def test_json_input_error_names_the_problem(self, tmp_path, capsys, command, data, problem):
         p = tmp_path / "in.json"
         p.write_text(json.dumps(data))

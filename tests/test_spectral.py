@@ -177,6 +177,17 @@ def k5_in_seven():
     return m
 
 
+def k4_in_six():
+    """K4 with weights just above 0.0125 and two isolated vertices: MRRR
+    returns the slice [0, 3] with a residual of 8e-3 and reports no error."""
+    idx = [0, 1, 4, 5]
+    w = np.nextafter(0.0125, 1.0)
+    m = np.zeros((6, 6))
+    m[np.ix_(idx, idx)] = -w
+    m[idx, idx] = 3 * w
+    return m
+
+
 def undecided_gap_matrix():
     """A gap of 1.1 TIE_TOL lambda_max after the lowest eigenvalue: not a tie,
     but it lies between TIE_TOL max |L_ii| and TIE_TOL ||L||_inf, which
@@ -275,6 +286,19 @@ class TestPartialEigendecompose:
             vecs = part.eigenvectors
             assert np.linalg.norm(m @ vecs - vecs * part.eigenvalues) < 1e-15
             assert vecs.base is None  # the fallback's n columns are not kept
+
+    @solve_partially()
+    def test_inaccurate_slice_falls_back_to_full_solve(self):
+        # three zeros, then 0.05 three times; the tie block at the cut of
+        # upto=1 widens the slice to [0, 3], whose vectors MRRR gets wrong
+        m = k4_in_six()
+        vals, vecs = spectral._evr(m, 0, 3)
+        assert np.linalg.norm(m @ vecs - vecs * vals) > 1e-3
+        full = eigendecompose(m)
+        assert full.tie_blocks == ((0, 3), (3, 6))
+        part = eigendecompose(m, upto=1)
+        assert part.eigenvectors.tobytes() == full.eigenvectors[:, :1].tobytes()
+        assert part.eigenvalues.tobytes() == full.eigenvalues[:1].tobytes()
 
     @solve_partially()
     def test_top_eigenvalue_solved_only_for_undecided_gaps(self, monkeypatch):
@@ -743,6 +767,16 @@ class TestSampling:
         assert s.vertices == ()
         out = downsample_reconstruct(s, [1], [0], [2.0])
         np.testing.assert_allclose(out, np.full(3, 2.0), atol=1e-10)
+
+    @pytest.mark.parametrize("vertex", [-1, 3.7, 7])
+    def test_unknown_positional_id_rejected(self, vertex):
+        # an unlabelled spectrum's vertices are 0..n-1: no wrap-around,
+        # truncation or bare IndexError
+        m = np.diag([1.0, 2, 2, 2, 1]) - np.eye(5, k=1) - np.eye(5, k=-1)
+        s = eigendecompose(m)
+        assert s.vertices == ()
+        with pytest.raises(ValueError, match=rf"\[{vertex}\] are not vertices"):
+            downsample_reconstruct(s, [1, 2], [0, vertex], [1.0, 2.0])
 
     def test_greedy_succeeds_whenever_any_subset_does(self, rng):
         # exhaustive subset-search oracle on small spectra

@@ -27,7 +27,7 @@ from simplexsp.structure_learning import _quantiles, _triple_weights
 
 from simplexsp.tasks import two_cluster_graph
 
-from conftest import LENGTHS, VERTEX_POOL, random_graphs, random_metric_complex
+from conftest import LENGTHS, VERTEX_POOL, random_graphs, random_metric_complex, traced
 from oracles import (
     family_laplacians_dense,
     family_levels_reference,
@@ -293,6 +293,15 @@ class TestBuildFamily:
             eigendecompose(m, upto=1)
             assert m.tobytes() == want.matrix.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs(), st.sampled_from(["closed", "all"]), st.integers(1, 3),
+           st.integers(1, 4), st.integers(0, 50))
+    def test_interleaved_walks_own_their_arrays(self, g, mode, bands, p, seed):
+        fam = build_family(g, p=p, num_bands=bands, seed=seed, mode=mode)
+        for a, b in zip(fam.levels(), fam.levels(), strict=True):
+            assert a is not b and not np.shares_memory(a, b)
+            assert a.tobytes() == b.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(random_graphs(), st.sampled_from(["closed", "all"]), st.integers(1, 3),
            st.integers(1, 4), st.integers(0, 50))
@@ -311,8 +320,8 @@ class TestBuildFamily:
                 getattr(fam, reader)(i)
 
     def test_held_memory_does_not_grow_with_p(self):
-        # a family keeps L_0's nonzero entries and what each batch changed,
-        # not a matrix per level nor a dense L_0
+        # a family keeps the entries each batch adds, not a matrix per level
+        # nor L_0, which its walk builds from the graph
         g = two_cluster_graph(300, p_in=0.03, p_out=0.002, seed=0)
         build_family(g, p=1)  # the graph caches its adjacency sets on first use
         held = {}
@@ -325,6 +334,13 @@ class TestBuildFamily:
         n2 = 8 * g.n**2  # bytes of one dense level
         assert held[1] < 0.25 * n2
         assert held[10] < held[1] + 0.25 * n2
+
+    def test_build_holds_no_dense_matrix(self):
+        # the build gathers each batch's entries; only the walk forms a level
+        g = two_cluster_graph(300, p_in=0.03, p_out=0.002, seed=0)
+        build_family(g, p=10)  # the graph caches its adjacency sets on first use
+        peak = traced(lambda: build_family(g, p=10))[1]
+        assert peak < 8 * g.n**2
 
     def test_nesting(self, rng):
         x = random_metric_complex(rng, n=12, edge_prob=0.6, triangle_prob=1.0)
